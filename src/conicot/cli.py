@@ -58,8 +58,6 @@ def _add_common(p):
     p.add_argument("--quantize", default="64",
                    help="number of value bins for the factored path, or 'off' "
                         "to force dense storage")
-    p.add_argument("--tile", type=int, default=64)
-    p.add_argument("--threads", default="auto")
     p.add_argument("--output", default=None)
     p.add_argument("--trace", default=None)
 
@@ -131,8 +129,8 @@ def build_parser():
 
 def _policy(args) -> TensorPolicy:
     if str(args.quantize).lower() == "off":
-        return TensorPolicy(max_dense_bytes=1 << 62, tile=args.tile)
-    return TensorPolicy(quantize_bins=int(args.quantize), tile=args.tile)
+        return TensorPolicy(max_dense_bytes=1 << 62)
+    return TensorPolicy(quantize_bins=int(args.quantize))
 
 
 def _config(args) -> SolverConfig:
@@ -166,7 +164,7 @@ def _write_manifest(args, argv, t0):
         "config": {
             k: getattr(args, k)
             for k in ("delta", "kernel", "max_iters", "tol", "restarts",
-                      "quantize", "tile", "threads")
+                      "quantize")
             if hasattr(args, k)
         },
         "tool_version": __version__,

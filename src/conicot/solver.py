@@ -70,7 +70,6 @@ class SolverConfig:
             "seed": self.seed,
             "init": self.init,
             "quantize_bins": self.tensor_policy.quantize_bins,
-            "tile": self.tensor_policy.tile,
         }
 
 

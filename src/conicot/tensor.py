@@ -5,10 +5,11 @@ j in [n'] indexes X features, k in [m] indexes Y samples, l in [m'] indexes
 Y features. A, B are n x m; A', B' are n' x m'. The tensor entry is
 T[i, j, k, l] = Omega(|omega_X[i, j] - omega_Y[k, l]| / 2 delta).
 
-Two storage modes: a dense tiled 4D array for small instances, and a
-value-quantized factored form (bin-indicator matrices plus a small Omega
-lookup table) whose contraction cost scales with matrix products instead of
-the full 4-index sum.
+Two storage modes. Dense: one C-contiguous (n*m) x (n'*m') matrix with rows
+(i, k) and columns (j, l), so each contraction is a single matrix-vector
+product. Factored: a value-quantized form (bin-indicator matrices plus a
+small Omega lookup table) whose contraction cost scales with matrix products
+instead of the full 4-index sum.
 """
 
 from __future__ import annotations
@@ -37,24 +38,34 @@ class Side(enum.Enum):
 class TensorPolicy:
     max_dense_bytes: int = 1 << 27  # 128 MiB
     quantize_bins: int = 64
-    tile: int = 64
 
 
 @dataclasses.dataclass
 class DistortionTensor:
     mode: TensorMode
     dims: tuple  # (n, n', m, m')
-    dense: np.ndarray | None = None
+    matrix: np.ndarray | None = None  # (n*m) x (n'*m'), rows (i, k), columns (j, l)
     x_values: np.ndarray | None = None
     y_values: np.ndarray | None = None
     x_indicator: np.ndarray | None = None  # n x n' bin ids into x_values
     y_indicator: np.ndarray | None = None  # m x m' bin ids into y_values
     omega_table: np.ndarray | None = None  # |U| x |V|
     quantization_error: float = 0.0
-    tile: int = 64
+
+    @property
+    def dense(self) -> np.ndarray | None:
+        """The dense matrix as a no-copy 4D (i, j, k, l) view; None when factored."""
+        if self.matrix is None:
+            return None
+        n, np_, m, mp = self.dims
+        return self.matrix.reshape(n, m, np_, mp).transpose(0, 2, 1, 3)
 
     def densify(self) -> np.ndarray:
-        """Materialize the (possibly quantized) tensor as a dense 4D array."""
+        """The tensor as a 4D (i, j, k, l) array.
+
+        Dense: a no-copy view of the matrix. Factored: the quantized table
+        materialized.
+        """
         if self.mode is TensorMode.Dense:
             return self.dense
         return self.omega_table[
@@ -103,11 +114,12 @@ def build_tensor(
     dims = (n, np_, m, mp)
     dense_bytes = 8 * n * np_ * m * mp
     if dense_bytes <= policy.max_dense_bytes:
-        gaps = np.abs(hx.kernel[:, :, None, None] - hy.kernel[None, None, :, :])
-        dense = omega_eval(kernel, gaps / (2.0 * kernel.delta))
-        return DistortionTensor(
-            mode=TensorMode.Dense, dims=dims, dense=np.asarray(dense), tile=policy.tile
-        )
+        # built in (i, k, j, l) order; abs and scaling reuse the one gap buffer
+        gaps = hx.kernel[:, None, :, None] - hy.kernel[None, :, None, :]
+        np.abs(gaps, out=gaps)
+        np.divide(gaps, 2.0 * kernel.delta, out=gaps)
+        matrix = omega_eval(kernel, gaps).reshape(n * m, np_ * mp)
+        return DistortionTensor(mode=TensorMode.Dense, dims=dims, matrix=matrix)
     indicator_bytes = 8 * (n * np_ + m * mp)
     if indicator_bytes > policy.max_dense_bytes:
         raise BudgetTooSmallForEitherPath(
@@ -127,7 +139,6 @@ def build_tensor(
         y_indicator=yid,
         omega_table=np.asarray(table),
         quantization_error=float(qerr),
-        tile=policy.tile,
     )
 
 
@@ -144,19 +155,9 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected {want}, got {M.shape}")
 
     if tensor.mode is TensorMode.Dense:
-        T = tensor.dense
         if side is Side.SampleSide:
-            # tile over i to bound the temporary; fixed order keeps reductions deterministic
-            out = np.empty((n, m))
-            for i0 in range(0, n, tensor.tile):
-                i1 = min(i0 + tensor.tile, n)
-                out[i0:i1] = np.einsum("ijkl,jl->ik", T[i0:i1], M, optimize=True)
-            return out
-        out = np.zeros((np_, mp))
-        for i0 in range(0, n, tensor.tile):
-            i1 = min(i0 + tensor.tile, n)
-            out += np.einsum("ijkl,ik->jl", T[i0:i1], M[i0:i1], optimize=True)
-        return out
+            return (tensor.matrix @ M.ravel()).reshape(n, m)
+        return (M.ravel() @ tensor.matrix).reshape(np_, mp)
 
     # factored path: a single loop over the y-side bins; the x-side bin index
     # is folded into a per-bin lookup matrix W_v[i, j] = table[xi[i, j], v]

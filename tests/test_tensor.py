@@ -35,7 +35,7 @@ def test_dense_contract_matches_einsum(rng, side):
     hx = random_hypernetwork(rng, 4, 3)
     hy = random_hypernetwork(rng, 5, 2)
     k = make_kernel("cos", 0.7)
-    t = build_tensor(hx, hy, k, TensorPolicy(tile=2))  # exercise tiling
+    t = build_tensor(hx, hy, k)
     T = _dense_reference(hx, hy, k)
     if side is Side.SampleSide:
         M = rng.uniform(size=(3, 2))
@@ -44,6 +44,25 @@ def test_dense_contract_matches_einsum(rng, side):
         M = rng.uniform(size=(4, 5))
         ref = np.einsum("ijkl,ik->jl", T, M)
     assert np.allclose(contract(t, side, M), ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["cos", "exp"])
+def test_dense_matrix_layout_rectangular(rng, family):
+    hx = random_hypernetwork(rng, 4, 3)
+    hy = random_hypernetwork(rng, 5, 2)
+    k = make_kernel(family, 0.7)
+    t = build_tensor(hx, hy, k)
+    assert t.matrix.flags.c_contiguous
+    assert t.matrix.shape == (4 * 5, 3 * 2)
+    assert np.shares_memory(t.dense, t.matrix)
+    T = _dense_reference(hx, hy, k)
+    assert np.array_equal(t.dense, T)
+    M = rng.uniform(size=(3, 2))
+    assert np.allclose(contract(t, Side.SampleSide, M),
+                       np.einsum("ijkl,jl->ik", T, M), atol=1e-12)
+    M = rng.uniform(size=(4, 5))
+    assert np.allclose(contract(t, Side.FeatureSide, M),
+                       np.einsum("ijkl,ik->jl", T, M), atol=1e-12)
 
 
 def test_contract_shape_check(rng):
