@@ -7,7 +7,6 @@ from .core import (
     DiscreteMeasureNetwork,
     DiscreteMeasureHypernetwork,
     DiscreteValueMeasure,
-    SemiCouplingPair,
     validate_network,
     validate_hypernetwork,
     scale_measure,

@@ -211,29 +211,15 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     if abs(a.sum() - b.sum()) > 1e-9 or abs(ap.sum() - bp.sum()) > 1e-9:
         raise MassMismatch("sample and feature masses must match across inputs")
     wx, wy = hx.kernel, hy.kernel
-
-    def sample_cost(pi_feat):
-        # C_ik = Sigma_jl (wx_ij - wy_kl)^2 pi'_jl
-        r = pi_feat.sum(axis=1)
-        c = pi_feat.sum(axis=0)
-        u = (wx * wx) @ r
-        v = (wy * wy) @ c
-        return u[:, None] + v[None, :] - 2.0 * (wx @ pi_feat @ wy.T)
-
-    def feature_cost(pi_samp):
-        r = pi_samp.sum(axis=1)
-        c = pi_samp.sum(axis=0)
-        u = (wx * wx).T @ r
-        v = (wy * wy).T @ c
-        return u[:, None] + v[None, :] - 2.0 * (wx.T @ pi_samp @ wy)
-
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
-    obj = float((sample_cost(pi_f) * pi_s).sum())
+    obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
     for _ in range(config.max_iters):
-        pi_s = ot_exact(a, b, sample_cost(pi_f), cap=config.ot_cap)[0].matrix
-        pi_f = ot_exact(ap, bp, feature_cost(pi_s), cap=config.ot_cap)[0].matrix
-        new_obj = float((sample_cost(pi_f) * pi_s).sum())
+        pi_s = ot_exact(a, b, _gw_linear_term(wx, wy, pi_f),
+                        cap=config.ot_cap)[0].matrix
+        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s),
+                        cap=config.ot_cap)[0].matrix
+        new_obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
         if obj - new_obj <= config.tol * max(1.0, abs(obj)):
             obj = min(obj, new_obj)
             break

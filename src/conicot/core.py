@@ -43,9 +43,6 @@ def _check_kernel_entries(k):
     bad = np.argwhere(~np.isfinite(k))
     if bad.size:
         raise NonFiniteEntry(tuple(int(v) for v in bad[0]))
-    neg = np.argwhere(k < 0)
-    if neg.size:
-        raise NonFiniteEntry(tuple(int(v) for v in neg[0]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,24 +127,6 @@ class DiscreteValueMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-
-@dataclasses.dataclass(frozen=True)
-class SemiCouplingPair:
-    """A discrete semi-coupling: A rows bounded by a, B columns bounded by b."""
-
-    A: np.ndarray
-    B: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-
-    def feasible(self, tol: float = 1e-12) -> bool:
-        return bool(
-            (self.A >= -tol).all()
-            and (self.B >= -tol).all()
-            and (self.A.sum(axis=1) <= self.row_marginal + tol).all()
-            and (self.B.sum(axis=0) <= self.col_marginal + tol).all()
-        )
 
 
 def validate_network(weights, kernel, points=None, label=None) -> DiscreteMeasureNetwork:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DiscreteMeasureNetwork, validate_network, DiscreteMeasureHypernetwork
+from .core import DiscreteMeasureNetwork, validate_hypernetwork, validate_network
 from .errors import (
     DegenerateSplit,
     EmptyCorrespondence,
@@ -134,16 +134,9 @@ def gen_aligned_hypernetworks(n_cells: int, feat_x: int, feat_y: int,
     keep = np.sort(rng.choice(n_cells, size=m, replace=False))
     ky = ky[keep]
 
-    hx = DiscreteMeasureHypernetwork(
-        sample_weights=np.full(n_cells, 1.0 / n_cells),
-        feature_weights=np.full(feat_x, 1.0 / feat_x),
-        kernel=kx,
-    )
-    hy = DiscreteMeasureHypernetwork(
-        sample_weights=np.full(m, 1.0 / m),
-        feature_weights=np.full(feat_y, 1.0 / feat_y),
-        kernel=ky,
-    )
+    hx = validate_hypernetwork(np.full(n_cells, 1.0 / n_cells),
+                               np.full(feat_x, 1.0 / feat_x), kx)
+    hy = validate_hypernetwork(np.full(m, 1.0 / m), np.full(feat_y, 1.0 / feat_y), ky)
     correspondence = {
         "cells": {int(k): int(orig) for k, orig in enumerate(keep)},
         "features": [(int(f), int(f)) for f in range(linked)],

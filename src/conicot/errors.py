@@ -71,10 +71,6 @@ class CapExceeded(ConicotError):
     code = "cap_exceeded"
 
 
-class NonConvergence(ConicotError):
-    code = "non_convergence"
-
-
 class PlacementFailure(ConicotError):
     code = "placement_failure"
 

@@ -54,7 +54,6 @@ class SolverConfig:
     rel_tol: float = 1e-9
     restarts: int = 4
     seed: int = 0
-    init: str = "product"  # "product" or "product_jittered" for restarts > 0
     tensor_policy: TensorPolicy = dataclasses.field(default_factory=TensorPolicy)
     negative_clamp: float = 1e-12
     extra_inits: list = dataclasses.field(default_factory=list)
@@ -68,7 +67,6 @@ class SolverConfig:
             "rel_tol": self.rel_tol,
             "restarts": self.restarts,
             "seed": self.seed,
-            "init": self.init,
             "quantize_bins": self.tensor_policy.quantize_bins,
         }
 
@@ -156,6 +154,17 @@ def init_interior(marginals, tensor: DistortionTensor, config: SolverConfig,
     return quad
 
 
+def _tight(W, target, axis):
+    """Rescale W so its row (axis=1) or column (axis=0) sums equal target.
+
+    A line whose sum vanishes stays zero. This is the one closed-form step of
+    the block ascent: every block update, projection and UOT step ends here.
+    """
+    s = W.sum(axis=axis)
+    r = np.divide(target, s, out=np.zeros_like(s), where=s > 0)
+    return W * (r[:, None] if axis == 1 else r)
+
+
 def project_to_gamma_bar(
     quad: SemiCouplingQuadruple, tensor: DistortionTensor, marginals
 ) -> SemiCouplingQuadruple:
@@ -167,74 +176,36 @@ def project_to_gamma_bar(
     """
     a, b, ap, bp = (np.asarray(v, dtype=np.float64) for v in marginals)
     samp_slice, feat_slice = tensor.slice_sums()
-    quad = quad.copy()
-    dead = samp_slice == 0.0
-    quad.A[dead] = 0.0
-    quad.B[dead] = 0.0
-    deadp = feat_slice == 0.0
-    quad.Ap[deadp] = 0.0
-    quad.Bp[deadp] = 0.0
+    live = samp_slice != 0.0
+    livep = feat_slice != 0.0
+    return SemiCouplingQuadruple(
+        _tight(quad.A * live, a, 1), _tight(quad.B * live, b, 0),
+        _tight(quad.Ap * livep, ap, 1), _tight(quad.Bp * livep, bp, 0),
+    )
 
-    def _scale_rows(M, target):
-        s = M.sum(axis=1)
-        pos = s > 0
-        M[pos] *= (target[pos] / s[pos])[:, None]
 
-    def _scale_cols(M, target):
-        s = M.sum(axis=0)
-        pos = s > 0
-        M[:, pos] *= target[pos] / s[pos]
-
-    _scale_rows(quad.A, a)
-    _scale_cols(quad.B, b)
-    _scale_rows(quad.Ap, ap)
-    _scale_cols(quad.Bp, bp)
-    return quad
+# block -> (complementary matrix, marginal index, tight axis)
+_BLOCKS = {"A": ("B", 0, 1), "B": ("A", 1, 0),
+           "Aprime": ("Bp", 2, 1), "Bprime": ("Ap", 3, 0)}
 
 
 def update_block(block: str, quad: SemiCouplingQuadruple, tensor: DistortionTensor,
                  marginals, PQ=None) -> np.ndarray:
     """Closed-form maximizer of F over one block, the others held fixed.
 
-    block in {"A", "B", "Aprime", "Bprime"}. PQ optionally supplies the
-    relevant freshly contracted P (for A, B) or Q (for Aprime, Bprime).
+    block in {"A", "B", "Aprime", "Bprime"}. The complementary matrix of the
+    pair, weighted by P^2 (for A, B) or Q^2 (for Aprime, Bprime), is made
+    tight to the block's marginal. PQ optionally supplies the freshly
+    contracted P or Q.
     """
-    a, b, ap, bp = (np.asarray(v, dtype=np.float64) for v in marginals)
-    if block in ("A", "B"):
-        P = PQ if PQ is not None else contract(
-            tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp)
-        )
-        if block == "A":
-            W = quad.B * P * P
-            denom = W.sum(axis=1)
-            E = np.zeros_like(W)
-            pos = denom > 0
-            E[pos] = a[pos, None] * W[pos] / denom[pos, None]
+    partner, idx, axis = _BLOCKS[block]
+    if PQ is None:
+        if block in ("A", "B"):
+            PQ = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
         else:
-            W = quad.A * P * P
-            denom = W.sum(axis=0)
-            E = np.zeros_like(W)
-            pos = denom > 0
-            E[:, pos] = b[None, pos] * W[:, pos] / denom[None, pos]
-        return E
-    Q = PQ if PQ is not None else contract(
-        tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B)
-    )
-    if block == "Aprime":
-        W = quad.Bp * Q * Q
-        denom = W.sum(axis=1)
-        E = np.zeros_like(W)
-        pos = denom > 0
-        E[pos] = ap[pos, None] * W[pos] / denom[pos, None]
-    else:
-        # mirror of the B-block update: the numerator weights come from the
-        # complementary matrix A', with column sums tied to b'
-        W = quad.Ap * Q * Q
-        denom = W.sum(axis=0)
-        E = np.zeros_like(W)
-        pos = denom > 0
-        E[:, pos] = bp[None, pos] * W[:, pos] / denom[None, pos]
-    return E
+            PQ = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
+    target = np.asarray(marginals[idx], dtype=np.float64)
+    return _tight(getattr(quad, partner) * PQ * PQ, target, axis)
 
 
 def _run_single(tensor, marginals, quad, config):

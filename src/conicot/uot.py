@@ -14,6 +14,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
+from .solver import _product_pair, _tight
 
 
 def pushforward_value_distribution(net: DiscreteMeasureNetwork,
@@ -64,24 +65,12 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     mass_term = float(m.sum() + n.sum())
     d2_degenerate = 4.0 * kernel.delta ** 2 * mass_term
 
-    def rescale_rows(M, target):
-        r = M.sum(axis=1)
-        s = np.divide(target, r, out=np.zeros_like(target), where=r > 0)
-        return M * s[:, None]
-
-    def rescale_cols(M, target):
-        c = M.sum(axis=0)
-        s = np.divide(target, c, out=np.zeros_like(target), where=c > 0)
-        return M * s[None, :]
+    live = W > 0
 
     def prepare(A, B):
-        live = W > 0
-        A = rescale_rows(A * live, m)
-        B = rescale_cols(B * live, n)
-        return A, B
+        return _tight(A * live, m, 1), _tight(B * live, n, 0)
 
-    inits = [prepare(np.outer(m, n) / max(n.sum(), 1e-300),
-                     np.outer(m, n) / max(m.sum(), 1e-300))]
+    inits = [prepare(*_product_pair(m, n))]
     # monotone (northwest-corner) alignment of the sorted atoms; exact for
     # identical distributions, a strong start whenever supports overlap
     pi = _monotone_plan(m, n)
@@ -99,16 +88,8 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
             converged = False
             it = 0
             for it in range(1, max_iters + 1):
-                num = B * W2
-                den = num.sum(axis=1)
-                A = m[:, None] * np.divide(num, den[:, None],
-                                           out=np.zeros_like(num),
-                                           where=den[:, None] > 0)
-                num = A * W2
-                den = num.sum(axis=0)
-                B = n[None, :] * np.divide(num, den[None, :],
-                                           out=np.zeros_like(num),
-                                           where=den[None, :] > 0)
+                A = _tight(B * W2, m, 1)
+                B = _tight(A * W2, n, 0)
                 new_obj = float((W * np.sqrt(A * B)).sum())
                 trace.append(new_obj)
                 if abs(new_obj - obj) <= rel_tol * max(1.0, abs(obj)):

@@ -6,8 +6,12 @@ import pytest
 from conicot import (
     DiscreteMeasureHypernetwork,
     DiscreteMeasureNetwork,
+    SolverConfig,
+    cgw_lower_bound,
+    cgw_solve,
     embed_network_as_hypernetwork,
     load_json,
+    make_kernel,
     scale_measure,
     tv_gap,
     validate_hypernetwork,
@@ -20,6 +24,7 @@ from conicot.errors import (
     NonFiniteEntry,
     NonSquareKernel,
 )
+from tests.conftest import random_network
 
 
 def test_validate_network_basic():
@@ -43,6 +48,21 @@ def test_validate_network_rejects_nonfinite():
         validate_network([1.0, 1.0], k)
     with pytest.raises(NonFiniteEntry):
         validate_network([1.0, np.inf], np.zeros((2, 2)))
+
+
+def test_negative_kernel_entries_accepted(rng):
+    # Omega only sees |gap|, so a common shift of both kernels changes nothing
+    nx = random_network(rng, 4, unit_mass=True)
+    ny = random_network(rng, 5, unit_mass=True)
+    sx = validate_network(nx.weights, nx.kernel - 1.0)
+    sy = validate_network(ny.weights, ny.kernel - 1.0)
+    assert (sx.kernel < 0).any() and (sy.kernel < 0).any()
+    kernel = make_kernel("exp", 0.5)
+    cfg = SolverConfig(kernel=kernel)
+    assert cgw_solve(sx, sy, cfg)[0] == pytest.approx(cgw_solve(nx, ny, cfg)[0],
+                                                      rel=0, abs=1e-12)
+    assert cgw_lower_bound(sx, sy, kernel).value == pytest.approx(
+        cgw_lower_bound(nx, ny, kernel).value, rel=0, abs=1e-12)
 
 
 def test_validate_network_shape_checks():

@@ -77,6 +77,13 @@ def test_gen_aligned_shapes_and_correspondence():
         gen_aligned_hypernetworks(10, 2, 2, downsample_y=0.0)
 
 
+def test_gen_aligned_returns_validated_frozen_arrays():
+    hx, hy, _ = gen_aligned_hypernetworks(20, 3, 4, seed=0)
+    for h in (hx, hy):
+        for arr in (h.sample_weights, h.feature_weights, h.kernel):
+            assert not arr.flags.writeable
+
+
 def test_foscttm_perfect_and_null(rng):
     # identity score matrix: true match always the max, score 0
     n = 20

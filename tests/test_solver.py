@@ -14,7 +14,7 @@ from conicot import (
 )
 from conicot.errors import DimensionMismatch, NegativeSquaredDistance
 from conicot.solver import init_interior, project_to_gamma_bar, update_block
-from conicot.tensor import build_tensor
+from conicot.tensor import Side, build_tensor, contract
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -91,6 +91,54 @@ def test_bprime_update_uses_complementary_matrix(rng):
     bad = quad.copy()
     bad.Bp = wrong
     assert objective_F(good, tensor) > objective_F(bad, tensor)
+
+
+# block -> (complementary matrix, marginal index, tight axis)
+_PARTNER = {"A": ("B", 0, 1), "B": ("A", 1, 0),
+            "Aprime": ("Bp", 2, 1), "Bprime": ("Ap", 3, 0)}
+
+
+def _line(axis, idx):
+    return (idx, slice(None)) if axis == 1 else (slice(None), idx)
+
+
+def _assert_tight_with_line_1_zero(new, W, target, axis):
+    # line 1 of W is zero: that line of the result is exactly zero, the
+    # others are tight to target and equal target * W / sum(W)
+    target = np.asarray(target)
+    live = np.arange(target.size) != 1
+    assert (new[_line(axis, 1)] == 0.0).all()
+    assert np.allclose(new.sum(axis=axis)[live], target[live], rtol=0, atol=1e-12)
+    with np.errstate(invalid="ignore"):
+        expected = W / W.sum(axis=axis, keepdims=True) \
+            * (target[:, None] if axis == 1 else target[None, :])
+    expected[_line(axis, 1)] = 0.0
+    assert np.allclose(new, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", ["A", "B", "Aprime", "Bprime"])
+def test_block_update_vanishing_line_stays_zero(rng, block):
+    _, _, tensor, marginals, _, quad = _setup(rng)
+    partner, idx, axis = _PARTNER[block]
+    getattr(quad, partner)[_line(axis, 1)] = 0.0
+    if block in ("A", "B"):
+        PQ = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
+    else:
+        PQ = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
+    new = update_block(block, quad, tensor, marginals)
+    W = getattr(quad, partner) * PQ * PQ
+    _assert_tight_with_line_1_zero(new, W, marginals[idx], axis)
+
+
+def test_project_to_gamma_bar_vanishing_line_stays_zero(rng):
+    _, _, tensor, marginals, _, quad = _setup(rng)
+    blocks = (("A", 0, 1), ("B", 1, 0), ("Ap", 2, 1), ("Bp", 3, 0))
+    for name, _, axis in blocks:
+        getattr(quad, name)[_line(axis, 1)] = 0.0
+    fixed = project_to_gamma_bar(quad, tensor, marginals)
+    for name, idx, axis in blocks:
+        _assert_tight_with_line_1_zero(getattr(fixed, name), getattr(quad, name),
+                                       marginals[idx], axis)
 
 
 def test_monotone_ascent_small_instances(rng):
