@@ -59,12 +59,18 @@ def omega_eval(kernel: ConeKernel, z):
         raise NonFinite("omega argument must be finite")
     if (z < 0).any():
         raise NegativeArgument("omega argument must be nonnegative")
+    # one output buffer, written in place
+    out = np.empty_like(z)
     if kernel.family is KernelFamily.TruncatedCosine:
+        np.minimum(z, np.pi / 2, out=out)
+        np.cos(out, out=out)
         # exact zero past the truncation point (cos(pi/2) rounds to ~6e-17,
         # which would defeat downstream vanishing-slice detection)
-        out = np.where(z < np.pi / 2, np.cos(np.minimum(z, np.pi / 2)), 0.0)
+        out[z >= np.pi / 2] = 0.0
     else:
-        out = np.exp(-z * z)
+        np.negative(z, out=out)
+        np.multiply(out, z, out=out)
+        np.exp(out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -218,7 +218,8 @@ def _run_single(tensor, marginals, quad, config):
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        prev = quad.copy()
+        # update_block rebinds the blocks and never mutates them in place
+        prev = (quad.A, quad.B, quad.Ap, quad.Bp)
         P = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
         quad.A = update_block("A", quad, tensor, marginals, PQ=P)
         quad.B = update_block("B", quad, tensor, marginals, PQ=P)
@@ -232,9 +233,9 @@ def _run_single(tensor, marginals, quad, config):
                 float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
             )
         step.append(
-            float(((quad.A - prev.A) ** 2).sum() + ((quad.B - prev.B) ** 2).sum()
-                  + ((quad.Ap - prev.Ap) ** 2).sum()
-                  + ((quad.Bp - prev.Bp) ** 2).sum())
+            float(((quad.A - prev[0]) ** 2).sum() + ((quad.B - prev[1]) ** 2).sum()
+                  + ((quad.Ap - prev[2]) ** 2).sum()
+                  + ((quad.Bp - prev[3]) ** 2).sum())
         )
         if abs(F - F_prev) <= config.rel_tol * max(1.0, abs(F_prev)):
             converged = True

@@ -7,17 +7,37 @@ T[i, j, k, l] = Omega(|omega_X[i, j] - omega_Y[k, l]| / 2 delta).
 
 Two storage modes. Dense: one C-contiguous (n*m) x (n'*m') matrix with rows
 (i, k) and columns (j, l), so each contraction is a single matrix-vector
-product. Factored: a value-quantized form (bin-indicator matrices plus a
-small Omega lookup table) whose contraction cost scales with matrix products
-instead of the full 4-index sum.
+product.
+
+Factored: kernel values are binned (exactly when a kernel has at most
+`quantize_bins` distinct values, as binary adjacency does; otherwise in
+equal-width bins with a reported error bound), so T[i, j, k, l] =
+t[xi_ij, yi_kl] for a small Omega table t. With a and b the most frequent
+x- and y-side bins (the background), the table splits as
+
+    t[u, v] = c0 + alpha[u] + beta[v] + gamma[u, v],    c0 = t[a, b],
+
+where alpha, beta and gamma vanish on the background bins. A contraction is
+then c0 times the sum of M, two matrix-vector products through
+Dx = alpha[xi] and Dy = beta[yi] broadcast as rank-one terms, and one
+batched product through XG[j, (c, i)] = gamma[xi_ij, v_c] and the one-hot
+Ys[k, (l, c)] = [yi_kl = v_c] over the non-background y-bins v_c. Each of
+Dx, Dy, XG and Ys is a scipy.sparse CSR array when it has at least 2^16
+entries of which at most 1/16 are nonzero (kNN adjacency), and a plain
+ndarray otherwise (small or many-bin kernels); the same products serve both.
+XG and Ys are stored when together they fit in `max_dense_bytes`; otherwise
+the y-bins are split into chunks that each fit, built on every contraction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import operator
 
 import numpy as np
+from scipy import sparse
 
 from .cone import ConeKernel, omega_eval
 from .core import DiscreteMeasureHypernetwork
@@ -51,6 +71,10 @@ class DistortionTensor:
     y_indicator: np.ndarray | None = None  # m x m' bin ids into y_values
     omega_table: np.ndarray | None = None  # |U| x |V|
     quantization_error: float = 0.0
+    background: tuple | None = None  # most frequent (x bin, y bin)
+    offsets: tuple | None = None  # (Dx, Dy): alpha[xi] (n x n'), beta[yi] (m x m')
+    bin_chunks: list | None = None  # non-background y-bin ids, one array per chunk
+    factors: list | None = None  # (XG, Ys) per chunk; None when built per call
 
     @property
     def dense(self) -> np.ndarray | None:
@@ -128,8 +152,28 @@ def build_tensor(
     q = max(1, policy.quantize_bins)
     xv, xid, wx = _quantize(hx.kernel, q)
     yv, yid, wy = _quantize(hy.kernel, q)
-    table = omega_eval(kernel, np.abs(xv[:, None] - yv[None, :]) / (2.0 * kernel.delta))
+    table = np.asarray(
+        omega_eval(kernel, np.abs(xv[:, None] - yv[None, :]) / (2.0 * kernel.delta)))
     qerr = kernel.lipschitz * (wx + wy) / (2.0 * kernel.delta)
+
+    x_count = np.bincount(xid.ravel(), minlength=xv.size)
+    y_count = np.bincount(yid.ravel(), minlength=yv.size)
+    a, b = int(x_count.argmax()), int(y_count.argmax())
+    alpha, beta, gamma = _split_table(table, a, b)
+    xs, ys = _off_background(xid, a), _off_background(yid, b)
+    offsets = (_store((n, np_), *xs[:2], alpha[xs[2]]),
+               _store((m, mp), *ys[:2], beta[ys[2]]))
+    # the y-bins that occur and whose gamma column is nonzero somewhere; XG and
+    # Ys are stored when they fit the budget, else built per call in chunks
+    bins = np.flatnonzero((y_count > 0) & gamma.any(axis=0))
+    C, budget = bins.size, policy.max_dense_bytes
+    xg_nnz = int((x_count @ (gamma[:, bins] != 0)).sum())
+    fits = (_stored_bytes(np_, n * C, xg_nnz)
+            + _stored_bytes(m, C * mp, int(y_count[bins].sum()))) <= budget
+    # a chunk of s bins takes at most 8 s (n n' + m m') bytes, sparse or not
+    size = max(C, 1) if fits else max(1, budget // (8 * (n * np_ + m * mp)))
+    chunks = [bins[k:k + size] for k in range(0, C, size)]
+    factors = [_factors(dims, xs, ys, gamma, c) for c in chunks] if fits else None
     return DistortionTensor(
         mode=TensorMode.Factored,
         dims=dims,
@@ -137,9 +181,77 @@ def build_tensor(
         y_values=yv,
         x_indicator=xid,
         y_indicator=yid,
-        omega_table=np.asarray(table),
+        omega_table=table,
         quantization_error=float(qerr),
+        background=(a, b),
+        offsets=offsets,
+        bin_chunks=chunks,
+        factors=factors,
     )
+
+
+def _split_table(table, a, b):
+    """(alpha, beta, gamma) with table = c0 + alpha[u] + beta[v] + gamma[u, v].
+
+    c0 = table[a, b]; alpha vanishes at u = a, beta at v = b, gamma on row a
+    and column b.
+    """
+    c0 = table[a, b]
+    alpha = table[:, b] - c0
+    beta = table[a, :] - c0
+    gamma = table - table[:, b:b + 1] - beta
+    gamma[a, :] = 0.0
+    gamma[:, b] = 0.0
+    return alpha, beta, gamma
+
+
+_SPARSE_MIN = 1 << 16  # entries below which a factor stays a plain ndarray
+
+
+def _is_sparse(rows, cols, nnz):
+    return rows * cols >= _SPARSE_MIN and 16 * nnz <= rows * cols
+
+
+def _stored_bytes(rows, cols, nnz):
+    if _is_sparse(rows, cols, nnz):
+        return 12 * nnz + 4 * (rows + 1)
+    return 8 * rows * cols
+
+
+def _store(shape, rows, cols, values):
+    """The matrix with these nonzeros: CSR when large and sparse, else dense."""
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    if _is_sparse(*shape, values.size):
+        return sparse.csr_array((values, (rows, cols)), shape=shape)
+    out = np.zeros(shape)
+    out[rows, cols] = values
+    return out
+
+
+def _off_background(indicator, bg):
+    """(rows, cols, bin ids) of the entries whose bin is not bg."""
+    rows, cols = np.nonzero(indicator != bg)
+    return rows, cols, indicator[rows, cols]
+
+
+def _factors(dims, xs, ys, gamma, bins):
+    """XG[j, (c, i)] = gamma[xi_ij, bins[c]] and Ys[k, (l, c)] = [yi_kl = bins[c]].
+
+    xs and ys are the off-background entries of the two indicators.
+    """
+    n, np_, m, mp = dims
+    C = bins.size
+    i, j, u = xs
+    XG = _store((np_, C * n), np.repeat(j, C), (np.arange(C) * n + i[:, None]).ravel(),
+                gamma[u][:, bins].ravel())
+    pos = np.full(gamma.shape[1], -1)
+    pos[bins] = np.arange(C)
+    k, l, v = ys
+    keep = pos[v] >= 0
+    k, l, c = k[keep], l[keep], pos[v[keep]]
+    Ys = _store((m, mp * C), k, l * C + c, np.ones(k.size))
+    return XG, Ys
 
 
 def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
@@ -159,22 +271,26 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
             return (tensor.matrix @ M.ravel()).reshape(n, m)
         return (M.ravel() @ tensor.matrix).reshape(np_, mp)
 
-    # factored path: a single loop over the y-side bins; the x-side bin index
-    # is folded into a per-bin lookup matrix W_v[i, j] = table[xi[i, j], v]
-    table = tensor.omega_table
-    xi, yi = tensor.x_indicator, tensor.y_indicator
-    if side is Side.SampleSide:
-        # P_ik = Sigma_v Sigma_j W_v[i, j] (M Yv^T)_jk
-        out = np.zeros((n, m))
-        for v in range(tensor.y_values.size):
-            Yv = (yi == v).astype(np.float64)
-            Z = M @ Yv.T  # n' x m
-            out += table[:, v][xi] @ Z
-        return out
-    # Q_jl = Sigma_v Sigma_i W_v[i, j] (M Yv)_il
-    out = np.zeros((np_, mp))
-    for v in range(tensor.y_values.size):
-        Yv = (yi == v).astype(np.float64)
-        R = M @ Yv  # n x m'
-        out += table[:, v][xi].T @ R
-    return out
+    # factored path: one batched product per chunk of non-background y-bins
+    # (one chunk when stored), then two rank-one terms and the background
+    # constant. Both sides are accumulated transposed, so the factor layouts
+    # make every reshape free and the sparse Ys multiplies from the left.
+    a, b = tensor.background
+    factors = tensor.factors
+    if factors is None:
+        gamma = _split_table(tensor.omega_table, a, b)[2]
+        xs = _off_background(tensor.x_indicator, a)
+        ys = _off_background(tensor.y_indicator, b)
+        factors = (_factors(tensor.dims, xs, ys, gamma, c) for c in tensor.bin_chunks)
+    Dx, Dy = tensor.offsets
+    rows, cols = M.sum(axis=1), M.sum(axis=0)
+    if side is Side.SampleSide:  # P^T = Ys (M^T XG), m x n
+        terms = (Ys @ (M.T @ XG).reshape(-1, n) for XG, Ys in factors)
+        shape, yterm, xterm = (m, n), Dy @ cols, Dx @ rows
+    else:  # Q^T = (Ys^T M^T) XG^T, m' x n'
+        terms = ((Ys.T @ M.T).reshape(mp, -1) @ XG.T for XG, Ys in factors)
+        shape, yterm, xterm = (mp, np_), Dy.T @ cols, Dx.T @ rows
+    out = functools.reduce(operator.iadd, terms) if tensor.bin_chunks else np.zeros(shape)
+    out += yterm[:, None]
+    out += xterm + tensor.omega_table[a, b] * rows.sum()
+    return np.ascontiguousarray(out.T)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conicot import (
     Side,
@@ -8,6 +9,7 @@ from conicot import (
     build_tensor,
     contract,
     make_kernel,
+    validate_hypernetwork,
 )
 from conicot.errors import BudgetTooSmallForEitherPath, DimensionMismatch
 from tests.conftest import random_hypernetwork
@@ -129,3 +131,113 @@ def test_slice_sums(rng):
     T = t.densify()
     assert np.allclose(samp, T.sum(axis=(1, 3)))
     assert np.allclose(feat, T.sum(axis=(0, 2)))
+
+
+# ------------------------------------------ factored contraction, by case
+
+def _hyper(rng, kernel):
+    n, m = kernel.shape
+    return validate_hypernetwork(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m), kernel)
+
+
+def _knn_adjacency(rng, n, k):
+    pts = rng.normal(size=(n, 2))
+    d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    adj = np.zeros((n, n))
+    adj[np.repeat(np.arange(n), k), np.argsort(d2, axis=1)[:, :k].ravel()] = 1.0
+    return adj
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _assert_contracts_match_einsum(rng, t):
+    """Both contractions equal einsum over the tensor's own densify()."""
+    T = t.densify()
+    n, np_, m, mp = t.dims
+    M = rng.uniform(size=(np_, mp))
+    _assert_close(contract(t, Side.SampleSide, M), np.einsum("ijkl,jl->ik", T, M))
+    M = rng.uniform(size=(n, m))
+    _assert_close(contract(t, Side.FeatureSide, M), np.einsum("ijkl,ik->jl", T, M))
+
+
+@pytest.mark.parametrize("ones, background", [(0.3, (0, 0)), (0.8, (1, 1))])
+def test_factored_binary_adjacency(rng, ones, background):
+    # 2-bin 0/1 kernels; when they are mostly ones the background is not bin 0
+    hx = _hyper(rng, (rng.uniform(size=(9, 7)) < ones).astype(float))
+    hy = _hyper(rng, (rng.uniform(size=(6, 8)) < ones).astype(float))
+    t = build_tensor(hx, hy, make_kernel("cos", 0.4), TensorPolicy(max_dense_bytes=4096))
+    assert t.mode is TensorMode.Factored
+    assert t.background == background
+    assert [c.tolist() for c in t.bin_chunks] == [[1 - background[1]]]
+    _assert_contracts_match_einsum(rng, t)
+
+
+def test_factored_rectangular_quantized(rng):
+    # more than 64 distinct values on both sides: 64 equal-width bins each
+    hx = random_hypernetwork(rng, 20, 10)
+    hy = random_hypernetwork(rng, 15, 14)
+    t = build_tensor(hx, hy, make_kernel("exp", 0.5),
+                     TensorPolicy(max_dense_bytes=300_000, quantize_bins=64))
+    assert t.mode is TensorMode.Factored
+    assert t.quantization_error > 0.0
+    assert t.x_values.size == t.y_values.size == 64
+    assert t.factors is not None and len(t.factors) == 1
+    _assert_contracts_match_einsum(rng, t)
+
+
+def test_factored_single_bin_constant_kernel(rng):
+    hx = _hyper(rng, np.full((5, 4), 0.3))
+    hy = _hyper(rng, np.full((6, 3), 0.7))
+    t = build_tensor(hx, hy, make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=1024))
+    assert t.mode is TensorMode.Factored
+    assert t.bin_chunks == [] and t.factors == []
+    _assert_contracts_match_einsum(rng, t)
+
+
+def test_factored_sparse_storage_matches_einsum(rng):
+    # sparse x kernel against 63 non-background y-bins: XG and Ys are CSR
+    hx = _hyper(rng, (rng.uniform(size=(40, 30)) < 0.04).astype(float))
+    hy = random_hypernetwork(rng, 40, 30)
+    t = build_tensor(hx, hy, make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=1 << 20))
+    assert t.mode is TensorMode.Factored
+    (XG, Ys), = t.factors
+    assert sparse.issparse(XG) and sparse.issparse(Ys)
+    _assert_contracts_match_einsum(rng, t)
+
+
+def test_factored_sparse_knn_matches_bin_pair_sum(rng):
+    # a 300-node kNN pair: every factor is CSR; densify() would need 65 GB, so
+    # the reference sums table[u, v] X_u M Y_v^T over bin pairs instead
+    kx, ky = _knn_adjacency(rng, 300, 4), _knn_adjacency(rng, 300, 4)
+    t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), make_kernel("exp", 0.5),
+                     TensorPolicy(max_dense_bytes=16 * 300 * 300))
+    assert t.mode is TensorMode.Factored
+    assert all(sparse.issparse(f) for f in (*t.offsets, *t.factors[0]))
+    X = [(t.x_indicator == u).astype(float) for u in range(t.x_values.size)]
+    Y = [(t.y_indicator == v).astype(float) for v in range(t.y_values.size)]
+    table = t.omega_table
+    M = rng.uniform(size=(300, 300))
+    ref = sum(table[u, v] * X[u] @ M @ Y[v].T for u in range(2) for v in range(2))
+    _assert_close(contract(t, Side.SampleSide, M), ref)
+    ref = sum(table[u, v] * X[u].T @ M @ Y[v] for u in range(2) for v in range(2))
+    _assert_close(contract(t, Side.FeatureSide, M), ref)
+
+
+def test_factored_many_bins_chunked_by_budget(rng):
+    hx = random_hypernetwork(rng, 6, 5)
+    hy = random_hypernetwork(rng, 7, 4)
+    k = make_kernel("cos", 0.6)
+    # 30 x-bins and 28 y-bins; each y-bin's XG and Ys take 464 bytes
+    t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=2048))
+    assert t.mode is TensorMode.Factored
+    assert t.factors is None and len(t.bin_chunks) > 1
+    assert max(c.size for c in t.bin_chunks) == 2048 // 464
+    _assert_contracts_match_einsum(rng, t)
+    # exact bins: the chunked tensor is the dense one
+    dense = build_tensor(hx, hy, k)
+    M = rng.uniform(size=(6, 7))
+    _assert_close(contract(t, Side.FeatureSide, M), contract(dense, Side.FeatureSide, M))
