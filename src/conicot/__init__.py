@@ -23,9 +23,9 @@ from .cone import (
     omega_of_gap,
     cone_distance_sq,
     kernel_constants,
-    kernel_pd_check,
 )
-from .tensor import DistortionTensor, TensorMode, TensorPolicy, Side, build_tensor, contract
+from .tensor import (DistortionTensor, TensorMode, TensorPolicy, Side, build_tensor,
+                     contract, kernel_pd_check)
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,

@@ -138,9 +138,6 @@ class BaselineConfig:
     tol: float = 1e-10
     restarts: int = 4
     seed: int = 0
-    inner: str = "exact"  # "exact" or "sinkhorn"
-    sinkhorn_reg_scale: float = 1e-2
-    ot_cap: int = 512
 
 
 def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
@@ -156,13 +153,6 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         raise MassMismatch("networks must have equal total mass")
     wx, wy = nx.kernel, ny.kernel
     rng = np.random.default_rng(config.seed)
-
-    def inner_ot(cost):
-        if config.inner == "exact":
-            return ot_exact(a, b, cost, cap=config.ot_cap)[0].matrix
-        med = np.median(cost[cost > 0]) if (cost > 0).any() else 1.0
-        return sinkhorn(a, b, cost, config.sinkhorn_reg_scale * med)[0].matrix
-
     inits = [np.outer(a, b) / max(b.sum(), 1e-300)]
     for _ in range(max(0, config.restarts - 1)):
         noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
@@ -175,7 +165,7 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         obj = _gw_objective(wx, wy, pi)
         for _ in range(config.max_iters):
             grad = _gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi)
-            target = inner_ot(grad)
+            target = ot_exact(a, b, grad)[0].matrix
             delta = target - pi
             # objective along pi + t delta is quadratic in t
             lin = float((_gw_linear_term(wx, wy, delta) * pi).sum()
@@ -215,10 +205,8 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
     obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
     for _ in range(config.max_iters):
-        pi_s = ot_exact(a, b, _gw_linear_term(wx, wy, pi_f),
-                        cap=config.ot_cap)[0].matrix
-        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s),
-                        cap=config.ot_cap)[0].matrix
+        pi_s = ot_exact(a, b, _gw_linear_term(wx, wy, pi_f))[0].matrix
+        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0].matrix
         new_obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
         if obj - new_obj <= config.tol * max(1.0, abs(obj)):
             obj = min(obj, new_obj)

@@ -48,18 +48,27 @@ from .tensor import TensorPolicy
 from .uot import cgw_lower_bound
 
 
-def _add_common(p):
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--kernel", choices=["cos", "exp"], default="exp")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quantize", default="64",
-                   help="number of value bins for the factored path, or 'off' "
-                        "to force dense storage")
+_OPTIONS = {
+    "delta": dict(type=float, default=0.5),
+    "kernel": dict(choices=["cos", "exp"], default="exp"),
+    "max-iters": dict(type=int, default=1000),
+    "tol": dict(type=float, default=1e-9),
+    "restarts": dict(type=int, default=4),
+    "seed": dict(type=int, default=0),
+    "quantize": dict(default="64",
+                     help="number of value bins for the factored path, or 'off' "
+                          "to force dense storage"),
+    "trace": dict(default=None,
+                  help="write the objective and Frobenius-gap traces to this file"),
+}
+_SOLVE = ("delta", "kernel", "max-iters", "tol", "restarts", "seed", "quantize")
+
+
+def _add_options(p, *names):
+    """Declare the shared options a subcommand reads, and --output."""
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
     p.add_argument("--output", default=None)
-    p.add_argument("--trace", default=None)
 
 
 def build_parser():
@@ -67,18 +76,21 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, nargs in (("ccot", 2), ("cgw", 2), ("gw2", 2), ("cot", 2),
-                        ("uot-bound", 2)):
+    for name, options in (("ccot", (*_SOLVE, "trace")), ("cgw", (*_SOLVE, "trace")),
+                          ("gw2", ("max-iters", "restarts", "seed")),
+                          ("cot", ("max-iters",)),
+                          ("uot-bound", ("delta", "kernel", "max-iters"))):
         p = sub.add_parser(name)
-        p.add_argument("inputs", nargs=nargs)
-        _add_common(p)
+        p.add_argument("inputs", nargs=2)
+        _add_options(p, *options)
 
     p = sub.add_parser("delta-sweep")
     p.add_argument("inputs", nargs=2)
     p.add_argument("--deltas", default="0.5,1,2,4,8,16,32")
     p.add_argument("--csv", default=None)
-    _add_common(p)
+    _add_options(p, *(o for o in _SOLVE if o != "delta"))
 
+    # the probe flags are shared: each probe reads its own subset
     p = sub.add_parser("verify")
     p.add_argument("probe", choices=["scaling", "bounds", "robustness",
                                      "weakiso", "fragility"])
@@ -88,7 +100,7 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--f-eps", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=10)
-    _add_common(p)
+    _add_options(p, *_SOLVE)
 
     p = sub.add_parser("gen-squares")
     p.add_argument("--count", type=int, default=10)
@@ -96,13 +108,13 @@ def build_parser():
     p.add_argument("--side", type=int, default=3)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--dir", default=".")
-    _add_common(p)
+    _add_options(p, "seed")
 
     p = sub.add_parser("img2net")
     p.add_argument("inputs", nargs=1)
     p.add_argument("--n-sample", type=int, default=60)
     p.add_argument("--knn", type=int, default=4)
-    _add_common(p)
+    _add_options(p, "seed")
 
     p = sub.add_parser("gen-aligned")
     p.add_argument("--cells", type=int, default=500)
@@ -111,7 +123,7 @@ def build_parser():
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--downsample", type=float, default=1.0)
     p.add_argument("--dir", default=".")
-    _add_common(p)
+    _add_options(p, "seed")
 
     p = sub.add_parser("classify")
     p.add_argument("--features", required=True)
@@ -119,11 +131,11 @@ def build_parser():
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--label-rate", type=float, default=0.8)
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p)
+    _add_options(p, "seed")
 
     p = sub.add_parser("bench")
     p.add_argument("--sizes", default="20,60")
-    _add_common(p)
+    _add_options(p, *(o for o in _SOLVE if o != "restarts"))
     return ap
 
 
@@ -133,12 +145,13 @@ def _policy(args) -> TensorPolicy:
     return TensorPolicy(quantize_bins=int(args.quantize))
 
 
-def _config(args) -> SolverConfig:
+def _config(args, delta=None, restarts=None) -> SolverConfig:
+    """The solve flags as a SolverConfig; delta, restarts replace missing flags."""
     return SolverConfig(
-        kernel=make_kernel(args.kernel, args.delta),
+        kernel=make_kernel(args.kernel, args.delta if delta is None else delta),
         max_iters=args.max_iters,
         rel_tol=args.tol,
-        restarts=args.restarts,
+        restarts=args.restarts if restarts is None else restarts,
         seed=args.seed,
         tensor_policy=_policy(args),
     )
@@ -161,17 +174,13 @@ def _write_manifest(args, argv, t0):
         "command": args.command,
         "argv": argv,
         "seed": getattr(args, "seed", None),
-        "config": {
-            k: getattr(args, k)
-            for k in ("delta", "kernel", "max_iters", "tol", "restarts",
-                      "quantize")
-            if hasattr(args, k)
-        },
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("command", "probe", "inputs")},
         "tool_version": __version__,
         "input_hashes": {p: _hash_file(p) for p in inputs if os.path.exists(p)},
         "wall_time": time.perf_counter() - t0,
     }
-    out_dir = os.path.dirname(args.output) if getattr(args, "output", None) else "."
+    out_dir = os.path.dirname(args.output) if args.output else "."
     path = os.path.join(out_dir or ".", "run_manifest.json")
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2)
@@ -180,7 +189,7 @@ def _write_manifest(args, argv, t0):
 def _emit(args, obj):
     text = json.dumps(obj, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as f:
             f.write(text + "\n")
 
@@ -206,7 +215,7 @@ def _load_two_networks(paths):
 
 
 def _write_trace(args, report):
-    if getattr(args, "trace", None):
+    if args.trace:
         with open(args.trace, "w") as f:
             json.dump({"objective_trace": report.objective_trace,
                        "frobenius_gap_trace": report.frobenius_gap_trace}, f)
@@ -215,7 +224,7 @@ def _write_trace(args, report):
 def bench_runner(sizes, args):
     """Timed cgw_solve runs on seeded square-image networks of growing size."""
     rows = ["size,iters,seconds,distance"]
-    config = _config(args)
+    config = _config(args, restarts=1)
     for n in sizes:
         imgs = gen_squares(2, g=4, side=3, image_size=32, seed=args.seed)
         na = image_to_network(imgs[0], n_sample=n, knn=4, seed=args.seed)
@@ -223,7 +232,7 @@ def bench_runner(sizes, args):
         # force the factored path: budget admits indicators but not the dense tensor
         policy = TensorPolicy(max_dense_bytes=16 * n * n,
                               quantize_bins=config.tensor_policy.quantize_bins)
-        cfg = dataclasses.replace(config, tensor_policy=policy, restarts=1)
+        cfg = dataclasses.replace(config, tensor_policy=policy)
         t0 = time.perf_counter()
         dist, report = cgw_solve(na, nb, cfg)
         dt = time.perf_counter() - t0
@@ -253,9 +262,8 @@ def run_command(argv) -> int:
             _emit(args, {"distance": value, "config": {"seed": args.seed}})
         elif args.command == "cot":
             hx, hy = _load_two_hyper(args.inputs)
-            value, _, _ = cot_solve(hx, hy, BaselineConfig(seed=args.seed,
-                                                           max_iters=args.max_iters))
-            _emit(args, {"distance": value, "config": {"seed": args.seed}})
+            value, _, _ = cot_solve(hx, hy, BaselineConfig(max_iters=args.max_iters))
+            _emit(args, {"distance": value})
         elif args.command == "uot-bound":
             nets = _load_two_networks(args.inputs)
             rep = cgw_lower_bound(nets[0], nets[1],
@@ -267,7 +275,8 @@ def run_command(argv) -> int:
         elif args.command == "delta-sweep":
             nets = _load_two_networks(args.inputs)
             deltas = [float(x) for x in args.deltas.split(",")]
-            table = delta_sweep(nets[0], nets[1], deltas, _config(args))
+            # every row sets its own delta; the first stands in for the config's
+            table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
             if args.csv:
                 with open(args.csv, "w") as f:
                     f.write("delta,cgw,reference,rel_gap\n")

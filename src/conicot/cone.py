@@ -11,7 +11,7 @@ import enum
 
 import numpy as np
 
-from .errors import NegativeArgument, NonFinite, SizeCapExceeded
+from .errors import NegativeArgument, NonFinite
 
 
 class KernelFamily(enum.Enum):
@@ -97,23 +97,3 @@ def kernel_constants(kernel: ConeKernel) -> KernelConstants:
         return KernelConstants(C=0.5, C_prime=1.0 / 24.0)
     return KernelConstants(C=1.0, C_prime=0.5)
 
-
-def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y, cap: int = 400) -> float:
-    """Smallest eigenvalue of the (nm x nm) similarity matrix between kernel entries.
-
-    Builds K[(i,k),(i',k')] = Omega(|omega_X(i,i') - omega_Y(k,k')| / 2 delta)
-    and eigensolves it. Diagnostic only: callers treat >= -1e-9 as positive
-    definite. Dense, so the instance size n*m is capped.
-    """
-    wx = np.asarray(omega_X, dtype=np.float64)
-    wy = np.asarray(omega_Y, dtype=np.float64)
-    n, m = wx.shape[0], wy.shape[0]
-    if n * m > cap:
-        raise SizeCapExceeded(f"n*m = {n * m} exceeds cap {cap}")
-    # K[(i,k),(i',k')]; pair index p = i*m + k
-    gx = wx[:, None, :, None]  # i, k, i', k'
-    gy = wy[None, :, None, :]
-    K = omega_eval(kernel, np.abs(gx - gy) / (2.0 * kernel.delta))
-    K = np.asarray(K).reshape(n * m, n * m)
-    K = 0.5 * (K + K.T)
-    return float(np.linalg.eigvalsh(K)[0])

@@ -47,10 +47,6 @@ class NonFinite(ConicotError):
     code = "non_finite"
 
 
-class SizeCapExceeded(ConicotError):
-    code = "size_cap_exceeded"
-
-
 class BudgetTooSmallForEitherPath(ConicotError):
     code = "budget_too_small"
 
@@ -69,6 +65,9 @@ class MassMismatch(ConicotError):
 
 class CapExceeded(ConicotError):
     code = "cap_exceeded"
+
+
+SizeCapExceeded = CapExceeded  # the name kernel_pd_check callers catch
 
 
 class PlacementFailure(ConicotError):

@@ -18,15 +18,14 @@ import time
 
 import numpy as np
 
-from .cone import ConeKernel, kernel_pd_check
+from .cone import ConeKernel
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
-from .errors import (
-    AllMassForcedZero,
-    DimensionMismatch,
-    NegativeSquaredDistance,
-    SizeCapExceeded,
-)
-from .tensor import DistortionTensor, Side, TensorPolicy, build_tensor, contract
+from .errors import AllMassForcedZero, DimensionMismatch, NegativeSquaredDistance
+from .tensor import (DistortionTensor, Side, TensorPolicy, build_tensor, contract,
+                     kernel_pd_check)
+
+# largest n*m whose kernel PD check (a dense nm x nm eigensolve) cgw_solve runs
+PD_CHECK_CAP = 400
 
 
 @dataclasses.dataclass
@@ -55,9 +54,7 @@ class SolverConfig:
     restarts: int = 4
     seed: int = 0
     tensor_policy: TensorPolicy = dataclasses.field(default_factory=TensorPolicy)
-    negative_clamp: float = 1e-12
     extra_inits: list = dataclasses.field(default_factory=list)
-    pd_check_cap: int = 400
 
     def echo(self) -> dict:
         return {
@@ -291,9 +288,7 @@ def bca_solve(
             best = (F, idx, quad, trace, frob, step, converged, iters)
 
     F_star, idx, quad, trace, frob, step, converged, iters = best
-    distance = ccot_distance_from_objective(
-        F_star, masses, config.kernel.delta, config.negative_clamp
-    )
+    distance = ccot_distance_from_objective(F_star, masses, config.kernel.delta)
     M = np.sqrt(quad.A * quad.B)
     Mp = np.sqrt(quad.Ap * quad.Bp)
     qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
@@ -327,14 +322,11 @@ def cgw_solve(
     gap = report.frobenius_gap_trace[-1] if report.frobenius_gap_trace else 0.0
     norm = float((quad.A**2).sum() + (quad.B**2).sum())
     gap_ok = gap < 1e-10 * max(norm, 1e-300)
-    pd_ok = None
-    if nx.n * ny.n <= config.pd_check_cap:
-        try:
-            report.pd_min_eigenvalue = kernel_pd_check(
-                config.kernel, nx.kernel, ny.kernel, cap=config.pd_check_cap
-            )
-            pd_ok = report.pd_min_eigenvalue >= -1e-9
-        except SizeCapExceeded:
-            pd_ok = None
-    report.equality_certified = bool(gap_ok and (pd_ok is True))
+    pd_ok = False
+    if nx.n * ny.n <= PD_CHECK_CAP:
+        report.pd_min_eigenvalue = kernel_pd_check(
+            config.kernel, nx.kernel, ny.kernel, cap=PD_CHECK_CAP
+        )
+        pd_ok = report.pd_min_eigenvalue >= -1e-9
+    report.equality_certified = bool(gap_ok and pd_ok)
     return distance, report

@@ -41,7 +41,7 @@ from scipy import sparse
 
 from .cone import ConeKernel, omega_eval
 from .core import DiscreteMeasureHypernetwork
-from .errors import BudgetTooSmallForEitherPath, DimensionMismatch
+from .errors import BudgetTooSmallForEitherPath, CapExceeded, DimensionMismatch
 
 
 class TensorMode(enum.Enum):
@@ -125,6 +125,36 @@ def _quantize(values: np.ndarray, q: int):
     return centers, ids, width / 2.0
 
 
+def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Omega(|wx[i, j] - wy[k, l]| / 2 delta) as an (n*m) x (n'*m') matrix.
+
+    Built in (i, k, j, l) order; abs and scaling reuse the one gap buffer.
+    """
+    gaps = wx[:, None, :, None] - wy[None, :, None, :]
+    np.abs(gaps, out=gaps)
+    np.divide(gaps, 2.0 * kernel.delta, out=gaps)
+    n, np_ = wx.shape
+    m, mp = wy.shape
+    return omega_eval(kernel, gaps).reshape(n * m, np_ * mp)
+
+
+def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y, cap: int = 400) -> float:
+    """Smallest eigenvalue of the (nm x nm) similarity matrix between kernel entries.
+
+    K[(i,k),(i',k')] = Omega(|omega_X(i,i') - omega_Y(k,k')| / 2 delta) is the
+    dense distortion tensor of the embedded networks; its symmetric part is
+    eigensolved. Diagnostic only: callers treat >= -1e-9 as positive
+    definite. Dense, so the instance size n*m is capped.
+    """
+    wx = np.asarray(omega_X, dtype=np.float64)
+    wy = np.asarray(omega_Y, dtype=np.float64)
+    n, m = wx.shape[0], wy.shape[0]
+    if n * m > cap:
+        raise CapExceeded(f"n*m = {n * m} exceeds cap {cap}")
+    K = _omega_matrix(kernel, wx, wy)
+    return float(np.linalg.eigvalsh(0.5 * (K + K.T))[0])
+
+
 def build_tensor(
     hx: DiscreteMeasureHypernetwork,
     hy: DiscreteMeasureHypernetwork,
@@ -138,11 +168,7 @@ def build_tensor(
     dims = (n, np_, m, mp)
     dense_bytes = 8 * n * np_ * m * mp
     if dense_bytes <= policy.max_dense_bytes:
-        # built in (i, k, j, l) order; abs and scaling reuse the one gap buffer
-        gaps = hx.kernel[:, None, :, None] - hy.kernel[None, :, None, :]
-        np.abs(gaps, out=gaps)
-        np.divide(gaps, 2.0 * kernel.delta, out=gaps)
-        matrix = omega_eval(kernel, gaps).reshape(n * m, np_ * mp)
+        matrix = _omega_matrix(kernel, hx.kernel, hy.kernel)
         return DistortionTensor(mode=TensorMode.Dense, dims=dims, matrix=matrix)
     indicator_bytes = 8 * (n * np_ + m * mp)
     if indicator_bytes > policy.max_dense_bytes:

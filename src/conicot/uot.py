@@ -16,12 +16,14 @@ from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
 from .solver import _product_pair, _tight
 
+COALESCE_TOL = 1e-12  # kernel values this close form one atom
+REL_TOL = 1e-12  # relative objective change at which uot_solve stops
 
-def pushforward_value_distribution(net: DiscreteMeasureNetwork,
-                                   coalesce_tol: float = 1e-12) -> DiscreteValueMeasure:
+
+def pushforward_value_distribution(net: DiscreteMeasureNetwork) -> DiscreteValueMeasure:
     """Distribution of kernel values under the product of the node measure.
 
-    Values within coalesce_tol of each other are merged (mass added) so
+    Values within COALESCE_TOL of each other are merged (mass added) so
     binary or heavily quantized kernels collapse to a few atoms.
     """
     vals = net.kernel.ravel()
@@ -32,7 +34,7 @@ def pushforward_value_distribution(net: DiscreteMeasureNetwork,
     keep_vals = [vals[0]]
     keep_mass = [masses[0]]
     for v, m in zip(vals[1:], masses[1:]):
-        if v - keep_vals[-1] <= coalesce_tol:
+        if v - keep_vals[-1] <= COALESCE_TOL:
             keep_mass[-1] += m
         else:
             keep_vals.append(v)
@@ -50,8 +52,7 @@ class UotReport:
 
 
 def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
-              kernel: ConeKernel, max_iters: int = 1000,
-              rel_tol: float = 1e-12) -> UotReport:
+              kernel: ConeKernel, max_iters: int = 1000) -> UotReport:
     """Conic semi-coupling distance between two scalar value distributions.
 
     Maximizes G(A, B) = Sigma_ij Omega_ij sqrt(A_ij B_ij) over A with row
@@ -92,7 +93,7 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
                 B = _tight(A * W2, n, 0)
                 new_obj = float((W * np.sqrt(A * B)).sum())
                 trace.append(new_obj)
-                if abs(new_obj - obj) <= rel_tol * max(1.0, abs(obj)):
+                if abs(new_obj - obj) <= REL_TOL * max(1.0, abs(obj)):
                     obj = new_obj
                     converged = True
                     break
@@ -130,9 +131,8 @@ def _monotone_plan(m, n):
 
 
 def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
-                    kernel: ConeKernel, coalesce_tol: float = 1e-12,
-                    max_iters: int = 1000) -> UotReport:
+                    kernel: ConeKernel, max_iters: int = 1000) -> UotReport:
     """Lower bound on the conic network distance from value distributions."""
-    mu = pushforward_value_distribution(nx, coalesce_tol)
-    nu = pushforward_value_distribution(ny, coalesce_tol)
+    mu = pushforward_value_distribution(nx)
+    nu = pushforward_value_distribution(ny)
     return uot_solve(mu, nu, kernel, max_iters=max_iters)

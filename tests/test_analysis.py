@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import conicot.analysis
 from conicot import (
+    cgw_solve,
+    scale_measure,
     SolverConfig,
     delta_sweep,
     gw_fragility_demo,
@@ -103,3 +108,24 @@ def test_delta_sweep_structure(rng):
     # unbalanced inputs are rejected
     with pytest.raises(ValueError):
         delta_sweep(random_network(rng, 3), ny, [1.0], _cfg())
+
+
+def test_verify_scaling_solves_each_pair_once(rng, monkeypatch):
+    # checks (a) and (b) solve the same pair with the same seed: one solve
+    net = random_network(rng, 4, unit_mass=True)
+    cfg = _cfg()
+    expected = verify_scaling(net, r=2.0, s=1.0, config=cfg)
+    calls = []
+    for name in ("bca_solve", "cgw_solve"):
+        solve = getattr(conicot.analysis, name)
+        monkeypatch.setattr(conicot.analysis, name,
+                            lambda *a, _solve=solve, _name=name, **k:
+                            calls.append(_name) or _solve(*a, **k))
+    out = verify_scaling(net, r=2.0, s=1.0, config=cfg)
+    assert sorted(calls) == ["bca_solve", "cgw_solve"]
+    assert out == expected
+    # check (a) is the distance cgw_solve gives for the seeded pair
+    seed = conicot.analysis._diag_quad(net.weights, 2.0 * net.weights)
+    dist, _ = cgw_solve(scale_measure(net, 1.0), scale_measure(net, 2.0),
+                        dataclasses.replace(cfg, extra_inits=[seed]))
+    assert out["checks"][0]["distance"] == dist

@@ -196,3 +196,38 @@ def test_bench_command(tmp_path, capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert lines[0] == "size,iters,seconds,distance"
     assert lines[1].startswith("30,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw2", "a.json", "b.json", "--kernel", "cos"],
+    ["cot", "a.json", "b.json", "--seed", "3"],
+    ["uot-bound", "a.json", "b.json", "--tol", "0.5"],
+    ["delta-sweep", "a.json", "b.json", "--trace", "t.json"],
+    ["gen-squares", "--count", "1", "--tol", "1"],
+    ["bench", "--sizes", "30", "--max-iters", "1", "--seed", "1",
+     "--restarts", "2"],
+], ids=["gw2-kernel", "cot-seed", "uot-bound-tol", "delta-sweep-trace",
+        "gen-squares-tol", "bench-restarts"])
+def test_unread_flag_rejected(tmp_path, argv, capsys, monkeypatch):
+    # a subcommand declares only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert exc.value.code == 2
+
+
+def test_gen_squares_manifest_holds_its_own_flags(tmp_path, capsys, monkeypatch):
+    code, _, _ = _run_in(
+        tmp_path, ["gen-squares", "--count", "1", "--seed", "5",
+                   "--dir", str(tmp_path)], capsys, monkeypatch)
+    assert code == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"] == {"count": 1, "g": 4, "side": 3, "size": 32,
+                                  "dir": str(tmp_path), "seed": 5,
+                                  "output": None}
+
+
+def test_cot_output_echoes_no_seed(tmp_path, net_files, capsys, monkeypatch):
+    # cot_solve reads no seed, so the output claims none
+    code, out, _ = _run_in(tmp_path, ["cot", *net_files], capsys, monkeypatch)
+    assert code == 0
+    assert set(json.loads(out)) == {"distance"}

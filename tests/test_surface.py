@@ -1,0 +1,52 @@
+"""The settable surface: every config field and CLI option, listed in full.
+
+A setting added or removed anywhere shows up here as a diff, so each one is
+a deliberate change.
+"""
+
+import argparse
+import dataclasses
+
+from conicot import BaselineConfig, SolverConfig, TensorPolicy
+from conicot.cli import build_parser
+
+SOLVE = ["--delta", "--kernel", "--max-iters", "--output", "--quantize",
+         "--restarts", "--seed", "--tol"]
+
+CLI_OPTIONS = {
+    "ccot": sorted(SOLVE + ["--trace"]),
+    "cgw": sorted(SOLVE + ["--trace"]),
+    "gw2": ["--max-iters", "--output", "--restarts", "--seed"],
+    "cot": ["--max-iters", "--output"],
+    "uot-bound": ["--delta", "--kernel", "--max-iters", "--output"],
+    "delta-sweep": ["--csv", "--deltas", "--kernel", "--max-iters", "--output",
+                    "--quantize", "--restarts", "--seed", "--tol"],
+    "verify": sorted(SOLVE + ["--eps", "--f-eps", "--r", "--s", "--trials"]),
+    "gen-squares": ["--count", "--dir", "--g", "--output", "--seed", "--side",
+                    "--size"],
+    "img2net": ["--knn", "--n-sample", "--output", "--seed"],
+    "gen-aligned": ["--cells", "--dir", "--downsample", "--feat-x", "--feat-y",
+                    "--noise", "--output", "--seed"],
+    "classify": ["--features", "--k", "--label-rate", "--labels", "--output",
+                 "--seed", "--trials"],
+    "bench": ["--delta", "--kernel", "--max-iters", "--output", "--quantize",
+              "--seed", "--sizes", "--tol"],
+}
+
+
+def test_settable_surface():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "kernel", "max_iters", "rel_tol", "restarts", "seed", "tensor_policy",
+        "extra_inits"]
+    assert [f.name for f in dataclasses.fields(BaselineConfig)] == [
+        "max_iters", "tol", "restarts", "seed"]
+    assert [f.name for f in dataclasses.fields(TensorPolicy)] == [
+        "max_dense_bytes", "quantize_bins"]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings
+                     if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS

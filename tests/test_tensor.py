@@ -8,11 +8,13 @@ from conicot import (
     TensorPolicy,
     build_tensor,
     contract,
+    embed_network_as_hypernetwork,
+    kernel_pd_check,
     make_kernel,
     validate_hypernetwork,
 )
 from conicot.errors import BudgetTooSmallForEitherPath, DimensionMismatch
-from tests.conftest import random_hypernetwork
+from tests.conftest import random_hypernetwork, random_network
 
 
 def _dense_reference(hx, hy, kernel):
@@ -241,3 +243,15 @@ def test_factored_many_bins_chunked_by_budget(rng):
     dense = build_tensor(hx, hy, k)
     M = rng.uniform(size=(6, 7))
     _assert_close(contract(t, Side.FeatureSide, M), contract(dense, Side.FeatureSide, M))
+
+
+@pytest.mark.parametrize("name", ["cos", "exp"])
+@pytest.mark.parametrize("n, m", [(5, 5), (4, 7)])
+def test_kernel_pd_check_is_solver_tensor_spectrum(rng, name, n, m):
+    # the PD matrix is the dense distortion tensor of the embedded networks
+    nx, ny = random_network(rng, n), random_network(rng, m)
+    k = make_kernel(name, 0.4)
+    T = build_tensor(embed_network_as_hypernetwork(nx),
+                     embed_network_as_hypernetwork(ny), k).matrix
+    expected = float(np.linalg.eigvalsh(0.5 * (T + T.T))[0])
+    assert kernel_pd_check(k, nx.kernel, ny.kernel) == expected
