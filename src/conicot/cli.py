@@ -10,7 +10,6 @@ input hashes, and wall time. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -60,19 +59,41 @@ _OPTIONS = {
                           "to force dense storage"),
     "trace": dict(default=None,
                   help="write the objective and Frobenius-gap traces to this file"),
+    # the verify probes' own flags
+    "r": dict(type=float, default=2.0),
+    "s": dict(type=float, default=1.0),
+    "eps": dict(type=float, default=0.05),
+    "f-eps": dict(type=float, default=1.0),
+    "trials": dict(type=int, default=10),
 }
 _SOLVE = ("delta", "kernel", "max-iters", "tol", "restarts", "seed", "quantize")
 
+# each verify probe: the number of input networks it reads, and its flags
+_PROBES = {
+    "scaling": (1, ("r", "s", *_SOLVE)),
+    "bounds": (2, _SOLVE),
+    "robustness": (1, ("eps", "trials", *_SOLVE)),
+    "weakiso": (1, _SOLVE),
+    "fragility": (0, ("eps", "f-eps")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes a flag only under its full name; its subparsers too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
 
 def _add_options(p, *names):
-    """Declare the shared options a subcommand reads, and --output."""
+    """Declare the table options a subcommand or probe reads, and --output."""
     for name in names:
         p.add_argument(f"--{name}", **_OPTIONS[name])
     p.add_argument("--output", default=None)
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="conicot")
+    ap = _Parser(prog="conicot")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -90,17 +111,12 @@ def build_parser():
     p.add_argument("--csv", default=None)
     _add_options(p, *(o for o in _SOLVE if o != "delta"))
 
-    # the probe flags are shared: each probe reads its own subset
-    p = sub.add_parser("verify")
-    p.add_argument("probe", choices=["scaling", "bounds", "robustness",
-                                     "weakiso", "fragility"])
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--f-eps", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10)
-    _add_options(p, *_SOLVE)
+    probes = sub.add_parser("verify").add_subparsers(dest="probe", required=True)
+    for name, (inputs, options) in _PROBES.items():
+        p = probes.add_parser(name)
+        if inputs:
+            p.add_argument("inputs", nargs=inputs)
+        _add_options(p, *options)
 
     p = sub.add_parser("gen-squares")
     p.add_argument("--count", type=int, default=10)
@@ -135,7 +151,7 @@ def build_parser():
 
     p = sub.add_parser("bench")
     p.add_argument("--sizes", default="20,60")
-    _add_options(p, *(o for o in _SOLVE if o != "restarts"))
+    _add_options(p, "delta", "kernel", "max-iters", "tol", "seed")
     return ap
 
 
@@ -145,15 +161,15 @@ def _policy(args) -> TensorPolicy:
     return TensorPolicy(quantize_bins=int(args.quantize))
 
 
-def _config(args, delta=None, restarts=None) -> SolverConfig:
-    """The solve flags as a SolverConfig; delta, restarts replace missing flags."""
+def _config(args, delta=None, restarts=None, policy=None) -> SolverConfig:
+    """The solve flags as a SolverConfig; delta, restarts, policy replace missing flags."""
     return SolverConfig(
         kernel=make_kernel(args.kernel, args.delta if delta is None else delta),
         max_iters=args.max_iters,
         rel_tol=args.tol,
         restarts=args.restarts if restarts is None else restarts,
         seed=args.seed,
-        tensor_policy=_policy(args),
+        tensor_policy=_policy(args) if policy is None else policy,
     )
 
 
@@ -204,14 +220,14 @@ def _load_two_hyper(paths):
     return pair
 
 
-def _load_two_networks(paths):
-    pair = []
+def _load_networks(paths):
+    nets = []
     for p in paths:
         obj = load_json(p)
         if not isinstance(obj, DiscreteMeasureNetwork):
             raise ConicotError(f"{p} is not a measure network")
-        pair.append(obj)
-    return pair
+        nets.append(obj)
+    return nets
 
 
 def _write_trace(args, report):
@@ -224,15 +240,13 @@ def _write_trace(args, report):
 def bench_runner(sizes, args):
     """Timed cgw_solve runs on seeded square-image networks of growing size."""
     rows = ["size,iters,seconds,distance"]
-    config = _config(args, restarts=1)
     for n in sizes:
         imgs = gen_squares(2, g=4, side=3, image_size=32, seed=args.seed)
         na = image_to_network(imgs[0], n_sample=n, knn=4, seed=args.seed)
         nb = image_to_network(imgs[1], n_sample=n, knn=4, seed=args.seed + 1)
         # force the factored path: budget admits indicators but not the dense tensor
-        policy = TensorPolicy(max_dense_bytes=16 * n * n,
-                              quantize_bins=config.tensor_policy.quantize_bins)
-        cfg = dataclasses.replace(config, tensor_policy=policy)
+        cfg = _config(args, restarts=1,
+                      policy=TensorPolicy(max_dense_bytes=16 * n * n))
         t0 = time.perf_counter()
         dist, report = cgw_solve(na, nb, cfg)
         dt = time.perf_counter() - t0
@@ -246,7 +260,7 @@ def run_command(argv) -> int:
     try:
         if args.command in ("ccot", "cgw"):
             if args.command == "cgw":
-                nets = _load_two_networks(args.inputs)
+                nets = _load_networks(args.inputs)
                 dist, report = cgw_solve(nets[0], nets[1], _config(args))
             else:
                 hx, hy = _load_two_hyper(args.inputs)
@@ -254,7 +268,7 @@ def run_command(argv) -> int:
             _write_trace(args, report)
             _emit(args, report.to_json_dict())
         elif args.command == "gw2":
-            nets = _load_two_networks(args.inputs)
+            nets = _load_networks(args.inputs)
             value, _ = gw2_solve(nets[0], nets[1],
                                  BaselineConfig(seed=args.seed,
                                                 restarts=args.restarts,
@@ -265,7 +279,7 @@ def run_command(argv) -> int:
             value, _, _ = cot_solve(hx, hy, BaselineConfig(max_iters=args.max_iters))
             _emit(args, {"distance": value})
         elif args.command == "uot-bound":
-            nets = _load_two_networks(args.inputs)
+            nets = _load_networks(args.inputs)
             rep = cgw_lower_bound(nets[0], nets[1],
                                   make_kernel(args.kernel, args.delta),
                                   max_iters=args.max_iters)
@@ -273,7 +287,7 @@ def run_command(argv) -> int:
                          "iterations": rep.iterations, "converged": rep.converged,
                          "config": {"delta": args.delta, "kernel": args.kernel}})
         elif args.command == "delta-sweep":
-            nets = _load_two_networks(args.inputs)
+            nets = _load_networks(args.inputs)
             deltas = [float(x) for x in args.deltas.split(",")]
             # every row sets its own delta; the first stands in for the config's
             table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
@@ -346,20 +360,17 @@ def run_command(argv) -> int:
 
 
 def _run_verify(args):
-    config = _config(args)
     if args.probe == "fragility":
         return gw_fragility_demo(args.eps, args.f_eps)
+    config = _config(args)
+    nets = _load_networks(args.inputs)
     if args.probe == "scaling":
-        net = _load_two_networks(args.inputs[:1])[0]
-        return verify_scaling(net, args.r, args.s, config)
+        return verify_scaling(nets[0], args.r, args.s, config)
     if args.probe == "bounds":
-        nx, ny = _load_two_networks(args.inputs)
-        return verify_bound_sandwich(nx, ny, config)
+        return verify_bound_sandwich(*nets, config)
     if args.probe == "robustness":
-        net = _load_two_networks(args.inputs[:1])[0]
-        return robustness_probe(net, args.eps, args.trials, config)
-    net = _load_two_networks(args.inputs[:1])[0]
-    return weak_iso_probe(net, config)
+        return robustness_probe(nets[0], args.eps, args.trials, config)
+    return weak_iso_probe(nets[0], config)
 
 
 def main():

@@ -175,10 +175,11 @@ def scale_measure(net: DiscreteMeasureNetwork, r: float) -> DiscreteMeasureNetwo
 
 
 def embed_network_as_hypernetwork(net: DiscreteMeasureNetwork) -> DiscreteMeasureHypernetwork:
-    """View a network as a hypernetwork with identical sample and feature axes."""
-    return DiscreteMeasureHypernetwork(
-        sample_weights=net.weights, feature_weights=net.weights, kernel=net.kernel
-    )
+    """View a network as a hypernetwork with identical sample and feature axes.
+
+    Validated, so a network built without `validate_network` is checked here.
+    """
+    return validate_hypernetwork(net.weights, net.weights, net.kernel)
 
 
 def tv_gap(a, b) -> float:

@@ -41,7 +41,8 @@ from scipy import sparse
 
 from .cone import ConeKernel, omega_eval
 from .core import DiscreteMeasureHypernetwork
-from .errors import BudgetTooSmallForEitherPath, CapExceeded, DimensionMismatch
+from .errors import (BudgetTooSmallForEitherPath, CapExceeded, DimensionMismatch,
+                     NegativeArgument)
 
 
 class TensorMode(enum.Enum):
@@ -58,6 +59,10 @@ class Side(enum.Enum):
 class TensorPolicy:
     max_dense_bytes: int = 1 << 27  # 128 MiB
     quantize_bins: int = 64
+
+    def __post_init__(self):
+        if self.quantize_bins < 1:
+            raise NegativeArgument(f"quantize_bins = {self.quantize_bins} is below 1")
 
 
 @dataclasses.dataclass
@@ -112,13 +117,13 @@ def _quantize(values: np.ndarray, q: int):
 
     Returns (bin_centers, bin_ids shaped like values, half_width).
     """
-    flat = values.ravel()
-    distinct = np.unique(flat)
+    # np.unique(return_inverse=True) would give the same ids from one sort, but
+    # it argsorts: over 10x slower than this on a 10^6-entry binary kernel
+    distinct = np.unique(values)
     if distinct.size <= q:
-        centers = distinct
-        ids = np.searchsorted(distinct, values)
-        return centers, ids.astype(np.int64), 0.0
-    lo, hi = float(flat.min()), float(flat.max())
+        ids = np.searchsorted(distinct, values).astype(np.int64, copy=False)
+        return distinct, ids, 0.0
+    lo, hi = float(distinct[0]), float(distinct[-1])
     width = (hi - lo) / q
     ids = np.minimum(((values - lo) / width).astype(np.int64), q - 1)
     centers = lo + (np.arange(q) + 0.5) * width
@@ -175,9 +180,8 @@ def build_tensor(
         raise BudgetTooSmallForEitherPath(
             f"indicator matrices need {indicator_bytes} bytes"
         )
-    q = max(1, policy.quantize_bins)
-    xv, xid, wx = _quantize(hx.kernel, q)
-    yv, yid, wy = _quantize(hy.kernel, q)
+    xv, xid, wx = _quantize(hx.kernel, policy.quantize_bins)
+    yv, yid, wy = _quantize(hy.kernel, policy.quantize_bins)
     table = np.asarray(
         omega_eval(kernel, np.abs(xv[:, None] - yv[None, :]) / (2.0 * kernel.delta)))
     qerr = kernel.lipschitz * (wx + wy) / (2.0 * kernel.delta)

@@ -99,9 +99,11 @@ def test_verify_fragility(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_scaling_and_weakiso(tmp_path, net_files, capsys, monkeypatch):
-    for probe in ("scaling", "weakiso", "robustness"):
+    # only robustness reads --trials
+    for probe, flags in (("scaling", []), ("weakiso", []),
+                         ("robustness", ["--trials", "2"])):
         code, out, _ = _run_in(
-            tmp_path, ["verify", probe, net_files[0], "--trials", "2"],
+            tmp_path, ["verify", probe, net_files[0], *flags],
             capsys, monkeypatch)
         assert code == 0, (probe, out)
         assert json.loads(out)["pass"]
@@ -206,13 +208,40 @@ def test_bench_command(tmp_path, capsys, monkeypatch):
     ["gen-squares", "--count", "1", "--tol", "1"],
     ["bench", "--sizes", "30", "--max-iters", "1", "--seed", "1",
      "--restarts", "2"],
+    ["verify", "fragility", "--kernel", "cos"],
+    ["verify", "scaling", "a.json", "--trials", "2"],
+    ["verify", "fragility", "a.json"],
+    ["verify", "bounds", "a.json"],
+    ["verify", "scaling"],
+    ["delta-sweep", "a.json", "b.json", "--delta", "3"],
+    ["bench", "--quantize", "2"],
 ], ids=["gw2-kernel", "cot-seed", "uot-bound-tol", "delta-sweep-trace",
-        "gen-squares-tol", "bench-restarts"])
+        "gen-squares-tol", "bench-restarts", "verify-fragility-kernel",
+        "verify-scaling-trials", "verify-fragility-input", "verify-bounds-one-input",
+        "verify-scaling-no-input", "delta-sweep-delta-prefix", "bench-quantize"])
 def test_unread_flag_rejected(tmp_path, argv, capsys, monkeypatch):
     # a subcommand declares only the flags it reads
     with pytest.raises(SystemExit) as exc:
         _run_in(tmp_path, argv, capsys, monkeypatch)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_quantize_below_one_exits_one(tmp_path, net_files, bins, capsys, monkeypatch):
+    code, out, err = _run_in(tmp_path, ["cgw", *net_files, "--quantize", bins],
+                             capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: negative_argument:")
+
+
+def test_verify_manifest_holds_the_probe_flags(tmp_path, capsys, monkeypatch):
+    code, _, _ = _run_in(tmp_path, ["verify", "fragility", "--eps", "0.1"],
+                         capsys, monkeypatch)
+    assert code == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["config"] == {"eps": 0.1, "f_eps": 1.0, "output": None}
 
 
 def test_gen_squares_manifest_holds_its_own_flags(tmp_path, capsys, monkeypatch):

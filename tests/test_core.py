@@ -105,6 +105,24 @@ def test_embed_network_as_hypernetwork():
     assert np.array_equal(h.kernel, net.kernel)
 
 
+def test_embedding_validates_hand_built_network():
+    # a network built without validate_network is checked when embedded
+    K = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    bad = DiscreteMeasureNetwork(np.array([0.5, -0.1, 0.6]), K)
+    good = validate_network([0.5, 0.1, 0.6], K)
+    with pytest.raises(NegativeWeight) as exc:
+        cgw_solve(bad, good, SolverConfig(kernel=make_kernel("exp", 0.5)))
+    assert exc.value.index == 1
+    nan_kernel = K.copy()
+    nan_kernel[0, 2] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        embed_network_as_hypernetwork(
+            DiscreteMeasureNetwork(np.ones(3), nan_kernel))
+    # a validated network's frozen arrays are shared, not copied
+    h = embed_network_as_hypernetwork(good)
+    assert h.sample_weights is good.weights and h.kernel is good.kernel
+
+
 def test_tv_gap():
     assert tv_gap([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0)
     with pytest.raises(LengthMismatch):

@@ -21,7 +21,12 @@ CLI_OPTIONS = {
     "uot-bound": ["--delta", "--kernel", "--max-iters", "--output"],
     "delta-sweep": ["--csv", "--deltas", "--kernel", "--max-iters", "--output",
                     "--quantize", "--restarts", "--seed", "--tol"],
-    "verify": sorted(SOLVE + ["--eps", "--f-eps", "--r", "--s", "--trials"]),
+    "verify": [],
+    "verify scaling": sorted(SOLVE + ["--r", "--s"]),
+    "verify bounds": SOLVE,
+    "verify robustness": sorted(SOLVE + ["--eps", "--trials"]),
+    "verify weakiso": SOLVE,
+    "verify fragility": ["--eps", "--f-eps", "--output"],
     "gen-squares": ["--count", "--dir", "--g", "--output", "--seed", "--side",
                     "--size"],
     "img2net": ["--knn", "--n-sample", "--output", "--seed"],
@@ -29,9 +34,18 @@ CLI_OPTIONS = {
                     "--noise", "--output", "--seed"],
     "classify": ["--features", "--k", "--label-rate", "--labels", "--output",
                  "--seed", "--trials"],
-    "bench": ["--delta", "--kernel", "--max-iters", "--output", "--quantize",
-              "--seed", "--sizes", "--tol"],
+    "bench": ["--delta", "--kernel", "--max-iters", "--output", "--seed",
+              "--sizes", "--tol"],
 }
+
+
+def _parsers(parser, prefix=""):
+    """(name, parser) for the parser and every sub-parser below it, depth first."""
+    yield prefix, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, f"{prefix} {name}".strip())
 
 
 def test_settable_surface():
@@ -42,11 +56,12 @@ def test_settable_surface():
         "max_iters", "tol", "restarts", "seed"]
     assert [f.name for f in dataclasses.fields(TensorPolicy)] == [
         "max_dense_bytes", "quantize_bins"]
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
+    parsers = dict(_parsers(build_parser()))
+    # a flag is taken only under its full name, on every parser
+    assert all(p.allow_abbrev is False for p in parsers.values())
     options = {
         name: sorted(o for a in p._actions for o in a.option_strings
                      if o not in ("-h", "--help"))
-        for name, p in sub.choices.items()
+        for name, p in parsers.items() if name
     }
     assert options == CLI_OPTIONS

@@ -13,7 +13,8 @@ from conicot import (
     make_kernel,
     validate_hypernetwork,
 )
-from conicot.errors import BudgetTooSmallForEitherPath, DimensionMismatch
+from conicot.errors import BudgetTooSmallForEitherPath, DimensionMismatch, NegativeArgument
+from conicot.tensor import _quantize
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -123,6 +124,37 @@ def test_budget_too_small(rng):
     with pytest.raises(BudgetTooSmallForEitherPath):
         build_tensor(hx, hy, make_kernel("exp", 0.5),
                      TensorPolicy(max_dense_bytes=8))
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_policy_rejects_fewer_than_one_bin(bins):
+    with pytest.raises(NegativeArgument):
+        TensorPolicy(quantize_bins=bins)
+
+
+@pytest.mark.parametrize("kind", ["binary", "64 values", "continuous"])
+def test_quantize_matches_sort_and_search(rng, kind):
+    # bin ids, centres and half-widths equal the unique/searchsorted and
+    # min/max equal-width reference bit for bit
+    if kind == "binary":
+        K = (rng.uniform(size=(300, 300)) < 0.01).astype(float)
+    elif kind == "64 values":
+        K = rng.choice(rng.normal(size=64), size=(40, 30))
+    else:
+        K = rng.normal(size=(40, 30))
+    centers, ids, half = _quantize(K, 64)
+    distinct = np.unique(K.ravel())
+    if distinct.size <= 64:
+        assert np.array_equal(centers, distinct)
+        assert np.array_equal(ids, np.searchsorted(distinct, K))
+        assert half == 0.0
+    else:
+        lo, hi = float(K.min()), float(K.max())
+        width = (hi - lo) / 64
+        assert np.array_equal(ids, np.minimum(((K - lo) / width).astype(np.int64), 63))
+        assert np.array_equal(centers, lo + (np.arange(64) + 0.5) * width)
+        assert half == width / 2.0
+    assert ids.dtype == np.int64 and ids.shape == K.shape
 
 
 def test_slice_sums(rng):
