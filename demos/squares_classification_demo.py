@@ -18,15 +18,6 @@ import numpy as np
 import conicot as c
 
 
-def build_network(img, base_seed):
-    for seed in range(base_seed, base_seed + 20):
-        try:
-            return c.image_to_network(img, n_sample=60, knn=4, seed=seed)
-        except c.errors.InsufficientMass:
-            continue
-    raise RuntimeError("sampling kept hitting dark pixels")
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--count", type=int, default=15,
@@ -39,7 +30,8 @@ def main():
     imgs = (c.gen_squares(args.count, g=4, side=3, image_size=32, seed=100)
             + c.gen_squares(args.count, g=4, side=5, image_size=32, seed=200))
     labels = np.array([0] * args.count + [1] * args.count)
-    nets = [build_network(img, 1000 + 37 * i) for i, img in enumerate(imgs)]
+    nets = [c.image_to_network(img, n_sample=60, knn=4, seed=1000 + 37 * i)
+            for i, img in enumerate(imgs)]
     print(f"built {len(nets)} networks in {time.perf_counter() - t0:.1f}s")
 
     # binary adjacency means the factored tensor path is exact; force it

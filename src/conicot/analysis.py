@@ -33,6 +33,7 @@ from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,
+    _ccot_d2,
     bca_solve,
     cgw_solve,
     objective_F,
@@ -64,6 +65,20 @@ def _with(config: SolverConfig, **kw) -> SolverConfig:
     return dataclasses.replace(config, **kw)
 
 
+def _envelope(delta: float, mass: float, eps: float) -> float:
+    """Robustness envelope 2 delta mass sqrt(eps^2 + 4 eps)."""
+    return 2.0 * delta * mass * float(np.sqrt(eps**2 + 4 * eps))
+
+
+def _unit_mass_gw2(nx, ny, config: SolverConfig, probe: str):
+    """gw2_solve between two unit-mass networks: the reference of the GW comparisons."""
+    if abs(nx.mass - 1.0) > 1e-9 or abs(ny.mass - 1.0) > 1e-9:
+        raise ValueError(f"{probe} expects unit-mass networks")
+    bcfg = BaselineConfig(seed=config.seed, restarts=max(config.restarts, 4),
+                          max_iters=60, tol=1e-8)
+    return gw2_solve(nx, ny, bcfg)
+
+
 def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
                    config: SolverConfig) -> dict:
     """Checks the measure-scaling guarantees on a single network.
@@ -76,7 +91,7 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
         inequality, reported with slack.
     """
     delta = config.kernel.delta
-    mass = float(net.weights.sum())
+    mass = net.mass
     net_s = scale_measure(net, s)
     net_r = scale_measure(net, r)
     seed = _diag_quad(s * net.weights, r * net.weights)
@@ -99,9 +114,9 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
     F0 = objective_F(quad, tensor)
     Ft = objective_F(quad.scaled(t), tensor)
     rel = abs(Ft - t * t * F0) / max(1.0, abs(t * t * F0))
-    m2 = (s * mass) ** 2 + (r * mass) ** 2
-    d2_0 = 4 * delta**2 * m2 - 8 * delta**2 * F0
-    d2_t = 4 * delta**2 * t * t * m2 - 8 * delta**2 * Ft
+    masses = (s * mass, s * mass, r * mass, r * mass)
+    d2_0 = _ccot_d2(F0, masses, delta)
+    d2_t = _ccot_d2(Ft, [t * x for x in masses], delta)
     rel_d = abs(d2_t - t * t * d2_0) / max(1.0, abs(t * t * d2_0))
     check_b = {
         "name": "homogeneity",
@@ -145,11 +160,7 @@ def delta_sweep(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     The fitted constant (CGW at the largest delta divided by GW_l2) is
     reported alongside.
     """
-    if abs(nx.weights.sum() - 1.0) > 1e-9 or abs(ny.weights.sum() - 1.0) > 1e-9:
-        raise ValueError("delta_sweep expects probability networks")
-    bcfg = BaselineConfig(seed=config.seed, restarts=max(config.restarts, 4),
-                          max_iters=60, tol=1e-8)
-    g, pi = gw2_solve(nx, ny, bcfg)
+    g, pi = _unit_mass_gw2(nx, ny, config, "delta_sweep")
     gw_l2 = 2.0 * g
     C = kernel_constants(config.kernel).C
     reference = float(np.sqrt(2.0 * C) * gw_l2)
@@ -193,11 +204,7 @@ def verify_bound_sandwich(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork
     uses the same kernel on both axes), so a single block-ascent run, seeded
     with the balanced GW coupling, supplies both middle quantities.
     """
-    if abs(nx.weights.sum() - 1.0) > 1e-9 or abs(ny.weights.sum() - 1.0) > 1e-9:
-        raise ValueError("verify_bound_sandwich expects unit-mass networks")
-    bcfg = BaselineConfig(seed=config.seed, restarts=max(config.restarts, 4),
-                          max_iters=60, tol=1e-8)
-    g, pi = gw2_solve(nx, ny, bcfg)
+    g, pi = _unit_mass_gw2(nx, ny, config, "verify_bound_sandwich")
     gw_quad = float(np.sqrt(2.0) * g)
     kappa = np.sqrt(2.0) if config.kernel.family.value == "cos" else 2.0
     upper = float(kappa * gw_quad)
@@ -237,8 +244,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     delta = config.kernel.delta
-    mass = float(net.weights.sum())
-    bound = 2.0 * delta * mass * float(np.sqrt(eps**2 + 4 * eps))
+    bound = _envelope(delta, net.mass, eps)
     rng = np.random.default_rng(config.seed)
     results = []
     for t in range(trials):
@@ -257,7 +263,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
         "probe": "robustness",
         "eps": eps,
         "delta": delta,
-        "mass": mass,
+        "mass": net.mass,
         "bound": bound,
         "trials": results,
         "violations": sum(not r["pass"] for r in results),
@@ -270,9 +276,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
         nyp = validate_network(ny.weights * (1.0 + eta_y), ny.kernel)
         d0, _ = cgw_solve(net, ny, config)
         d1, _ = cgw_solve(nxp, nyp, config)
-        pair_bound = 2.0 * delta * float(np.sqrt(eps**2 + 4 * eps)) * (
-            mass + float(ny.weights.sum())
-        )
+        pair_bound = _envelope(delta, net.mass + ny.mass, eps)
         out["paired"] = {
             "gap": abs(d0 - d1),
             "bound": pair_bound,
@@ -301,7 +305,7 @@ def gw_fragility_demo(eps: float, f_eps: float,
     clean_value, _ = gw2_solve(clean, point, bcfg)
     pert_value, _ = gw2_solve(perturbed, point, bcfg)
     closed_form = float(np.sqrt((1 - eps) * eps / 2.0) * d)
-    cgw_contrast = float(np.sqrt(eps**2 + 4 * eps)) * 2.0  # 2 delta (m_X+m_Y), delta=1/2
+    cgw_contrast = _envelope(0.5, 2.0, eps)  # delta = 1/2, m_X + m_Y = 2
     return {
         "probe": "gw_fragility",
         "eps": eps,

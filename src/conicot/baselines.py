@@ -38,6 +38,12 @@ def _transport_constraints(n: int, m: int):
     return sparse.vstack([rows, cols]).tocsr()[:-1]
 
 
+def _check_equal_mass(a, b):
+    """Balanced transport needs equal totals, to 1e-9 relative."""
+    if abs(a.sum() - b.sum()) > 1e-9 * max(1.0, a.sum()):
+        raise MassMismatch(f"total masses {a.sum()} vs {b.sum()}")
+
+
 def ot_exact(a, b, cost, cap: int = 512):
     """Exact optimal transport by linear programming (HiGHS dual simplex).
 
@@ -47,8 +53,7 @@ def ot_exact(a, b, cost, cap: int = 512):
     b = np.asarray(b, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
-    if abs(a.sum() - b.sum()) > 1e-9 * max(1.0, a.sum()):
-        raise MassMismatch(f"total masses {a.sum()} vs {b.sum()}")
+    _check_equal_mass(a, b)
     if n > cap or m > cap:
         raise CapExceeded(f"sizes ({n},{m}) exceed cap {cap}")
     A_eq = _transport_constraints(n, m)
@@ -149,8 +154,7 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     """
     config = config or BaselineConfig()
     a, b = nx.weights, ny.weights
-    if abs(a.sum() - b.sum()) > 1e-9 * max(1.0, a.sum()):
-        raise MassMismatch("networks must have equal total mass")
+    _check_equal_mass(a, b)
     wx, wy = nx.kernel, ny.kernel
     rng = np.random.default_rng(config.seed)
     inits = [np.outer(a, b) / max(b.sum(), 1e-300)]
@@ -198,8 +202,8 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     config = config or BaselineConfig()
     a, b = hx.sample_weights, hy.sample_weights
     ap, bp = hx.feature_weights, hy.feature_weights
-    if abs(a.sum() - b.sum()) > 1e-9 or abs(ap.sum() - bp.sum()) > 1e-9:
-        raise MassMismatch("sample and feature masses must match across inputs")
+    _check_equal_mass(a, b)
+    _check_equal_mass(ap, bp)
     wx, wy = hx.kernel, hy.kernel
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)

@@ -53,11 +53,14 @@ class DiscreteMeasureNetwork:
     kernel: np.ndarray
     points: np.ndarray | None = None
     label: str | None = None
-    mass: float = 0.0
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def mass(self) -> float:
+        return float(self.weights.sum())
 
     def to_json_dict(self) -> dict:
         d = {
@@ -143,13 +146,7 @@ def validate_network(weights, kernel, points=None, label=None) -> DiscreteMeasur
         pts = _freeze(points)
         if pts.ndim != 2 or pts.shape[0] != w.shape[0]:
             raise NonSquareKernel("points must be an n x d matrix")
-    return DiscreteMeasureNetwork(
-        weights=_freeze(w),
-        kernel=_freeze(k),
-        points=pts,
-        label=label,
-        mass=float(w.sum()),
-    )
+    return DiscreteMeasureNetwork(_freeze(w), _freeze(k), points=pts, label=label)
 
 
 def validate_hypernetwork(sample_weights, feature_weights, kernel) -> DiscreteMeasureHypernetwork:

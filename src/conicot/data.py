@@ -18,6 +18,8 @@ from .errors import (
     PlacementFailure,
 )
 
+SAMPLE_DRAWS = 1000  # pixel draws image_to_network makes before it gives up
+
 
 def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
                 seed: int = 0, retry_cap: int = 1000):
@@ -56,7 +58,8 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     """Sampled-pixel network: intensities as weights, directed kNN adjacency.
 
     Pixel coordinates are drawn uniformly without replacement from the whole
-    image; weights are the sampled intensities normalized to unit mass;
+    image, and drawn again while every drawn pixel is dark (SAMPLE_DRAWS draws
+    at most); weights are the sampled intensities normalized to unit mass;
     omega_ij = 1 iff pixel j is among the knn nearest (Euclidean) pixels of
     pixel i, ties broken by sample index.
     """
@@ -67,15 +70,17 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
         raise ValueError(f"n_sample {n_sample} exceeds pixel count {total}")
     if knn >= n_sample:
         raise ValueError("knn must be smaller than n_sample")
+    if not (image > 0).any():
+        raise InsufficientMass("the image has no positive intensity")
     rng = np.random.default_rng(seed)
-    for attempt in range(2):
+    for _ in range(SAMPLE_DRAWS):
         idx = rng.choice(total, size=n_sample, replace=False)
         pts = coords[idx]
         intens = image[pts[:, 0].astype(int), pts[:, 1].astype(int)]
         if intens.sum() > 0:
             break
     else:
-        raise InsufficientMass("all sampled pixel intensities are zero")
+        raise InsufficientMass(f"every pixel drawn was dark in {SAMPLE_DRAWS} draws")
     weights = intens / intens.sum()
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
@@ -160,13 +165,9 @@ def foscttm(matching, correspondence) -> float:
         pairs = list(correspondence)
     if not pairs:
         raise EmptyCorrespondence("no matched samples")
-    n, m = matching.shape
-    fracs = []
-    for i, k in pairs:
-        row = matching[i]
-        true_score = row[k]
-        fracs.append(float((row > true_score).sum()) / max(m - 1, 1))
-    return float(np.mean(fracs))
+    rows, cols = np.asarray(pairs).T
+    closer = (matching[rows] > matching[rows, cols][:, None]).sum(axis=1)
+    return float(np.mean(closer / max(matching.shape[1] - 1, 1)))
 
 
 def knn_classify(features, labels, k: int, label_rate: float, trials: int,

@@ -55,19 +55,12 @@ class NegativeSquaredDistance(ConicotError):
     code = "negative_squared_distance"
 
 
-class AllMassForcedZero(ConicotError):
-    code = "all_mass_forced_zero"
-
-
 class MassMismatch(ConicotError):
     code = "mass_mismatch"
 
 
 class CapExceeded(ConicotError):
     code = "cap_exceeded"
-
-
-SizeCapExceeded = CapExceeded  # the name kernel_pd_check callers catch
 
 
 class PlacementFailure(ConicotError):

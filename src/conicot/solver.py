@@ -20,7 +20,7 @@ import numpy as np
 
 from .cone import ConeKernel
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
-from .errors import AllMassForcedZero, DimensionMismatch, NegativeSquaredDistance
+from .errors import DimensionMismatch, NegativeSquaredDistance
 from .tensor import (DistortionTensor, Side, TensorPolicy, build_tensor, contract,
                      kernel_pd_check)
 
@@ -111,18 +111,19 @@ def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor) -> float:
     return float((np.sqrt(quad.A * quad.B) * P).sum())
 
 
-def ccot_distance_from_objective(
-    F_star: float, masses, delta: float, negative_clamp: float = 1e-12
-) -> float:
-    """sqrt of 4 delta^2 (m_X m_X' + m_Y m_Y') - 8 delta^2 F*."""
+def _ccot_d2(F, masses, delta: float) -> float:
+    """Signed 4 delta^2 (m_X m_X' + m_Y m_Y') - 8 delta^2 F; masses in that order."""
     m_x, m_xp, m_y, m_yp = masses
-    d2 = 4.0 * delta**2 * (m_x * m_xp + m_y * m_yp) - 8.0 * delta**2 * F_star
-    if d2 < 0:
-        scale = max(1.0, abs(4.0 * delta**2 * (m_x * m_xp + m_y * m_yp)))
-        if d2 < -negative_clamp * scale:
-            raise NegativeSquaredDistance(f"distance^2 = {d2}")
-        d2 = 0.0
-    return float(np.sqrt(d2))
+    return 4.0 * delta**2 * (m_x * m_xp + m_y * m_yp) - 8.0 * delta**2 * F
+
+
+def ccot_distance_from_objective(F_star: float, masses, delta: float,
+                                 negative_clamp: float = 1e-12) -> float:
+    """sqrt of the squared distance at objective F*; round-off below zero clamps to 0."""
+    d2 = _ccot_d2(F_star, masses, delta)
+    if d2 < -negative_clamp * max(1.0, abs(_ccot_d2(0.0, masses, delta))):
+        raise NegativeSquaredDistance(f"distance^2 = {d2}")
+    return float(np.sqrt(max(d2, 0.0)))
 
 
 def _product_pair(a, b):
@@ -133,9 +134,12 @@ def _product_pair(a, b):
     return A, B
 
 
-def init_interior(marginals, tensor: DistortionTensor, config: SolverConfig,
+def init_interior(marginals, tensor: DistortionTensor,
                   jitter_rng=None) -> SemiCouplingQuadruple:
-    """Product (or jittered product) initialization, projected to Gamma-bar."""
+    """Product (or jittered product) initialization, projected to Gamma-bar.
+
+    All zero when every Omega slice sum vanishes: the ascent then stops at F = 0.
+    """
     a, b, ap, bp = (np.asarray(v, dtype=np.float64) for v in marginals)
     A, B = _product_pair(a, b)
     Ap, Bp = _product_pair(ap, bp)
@@ -143,12 +147,7 @@ def init_interior(marginals, tensor: DistortionTensor, config: SolverConfig,
     if jitter_rng is not None:
         for M in (quad.A, quad.B, quad.Ap, quad.Bp):
             M *= 1.0 + jitter_rng.uniform(-0.1, 0.1, size=M.shape)
-    quad = project_to_gamma_bar(quad, tensor, (a, b, ap, bp))
-    total = quad.A.sum() + quad.B.sum() + quad.Ap.sum() + quad.Bp.sum()
-    mass = a.sum() + b.sum() + ap.sum() + bp.sum()
-    if total == 0.0 and mass > 0.0:
-        raise AllMassForcedZero("every Omega slice sum vanishes")
-    return quad
+    return project_to_gamma_bar(quad, tensor, (a, b, ap, bp))
 
 
 def _tight(W, target, axis):
@@ -259,23 +258,9 @@ def bca_solve(
     masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
     rng = np.random.default_rng(config.seed)
 
-    inits = []
-    try:
-        inits.append(init_interior(marginals, tensor, config))
-    except AllMassForcedZero:
-        n, np_, m, mp = tensor.dims
-        quad = SemiCouplingQuadruple(
-            np.zeros((n, m)), np.zeros((n, m)), np.zeros((np_, mp)), np.zeros((np_, mp))
-        )
-        distance = ccot_distance_from_objective(0.0, masses, config.kernel.delta)
-        report = SolverReport(
-            objective_trace=[0.0], distance=distance, iterations=0, converged=True,
-            quantization_uncertainty=0.0, wall_time=time.perf_counter() - t0,
-            config=config.echo(),
-        )
-        return distance, quad, report
+    inits = [init_interior(marginals, tensor)]
     for _ in range(max(0, config.restarts - 1)):
-        inits.append(init_interior(marginals, tensor, config, jitter_rng=rng))
+        inits.append(init_interior(marginals, tensor, jitter_rng=rng))
     for extra in config.extra_inits:
         inits.append(project_to_gamma_bar(extra.copy(), tensor, marginals))
 

@@ -39,7 +39,7 @@ import operator
 import numpy as np
 from scipy import sparse
 
-from .cone import ConeKernel, omega_eval
+from .cone import ConeKernel, omega_eval, omega_of_gap
 from .core import DiscreteMeasureHypernetwork
 from .errors import (BudgetTooSmallForEitherPath, CapExceeded, DimensionMismatch,
                      NegativeArgument)
@@ -182,8 +182,7 @@ def build_tensor(
         )
     xv, xid, wx = _quantize(hx.kernel, policy.quantize_bins)
     yv, yid, wy = _quantize(hy.kernel, policy.quantize_bins)
-    table = np.asarray(
-        omega_eval(kernel, np.abs(xv[:, None] - yv[None, :]) / (2.0 * kernel.delta)))
+    table = omega_of_gap(kernel, xv[:, None], yv[None, :])
     qerr = kernel.lipschitz * (wx + wy) / (2.0 * kernel.delta)
 
     x_count = np.bincount(xid.ravel(), minlength=xv.size)

@@ -3,7 +3,7 @@
 Pushing the product measure through the kernel map collapses each network to
 a distribution of scalar kernel values; the conic semi-coupling problem
 between those distributions lower-bounds the network distance and is cheap
-to solve with the same two-block closed-form ascent.
+to solve with the solver's closed-form step and distance formula.
 """
 
 from __future__ import annotations
@@ -14,32 +14,27 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
-from .solver import _product_pair, _tight
+from .solver import _product_pair, _tight, ccot_distance_from_objective
 
-COALESCE_TOL = 1e-12  # kernel values this close form one atom
+COALESCE_TOL = 1e-12  # sorted kernel values this close to the previous share its atom
 REL_TOL = 1e-12  # relative objective change at which uot_solve stops
 
 
 def pushforward_value_distribution(net: DiscreteMeasureNetwork) -> DiscreteValueMeasure:
     """Distribution of kernel values under the product of the node measure.
 
-    Values within COALESCE_TOL of each other are merged (mass added) so
-    binary or heavily quantized kernels collapse to a few atoms.
+    A sorted value at most COALESCE_TOL above the previous one joins its atom
+    (mass added), so binary or quantized kernels collapse to a few atoms. The
+    rule chains: an atom sits at its smallest value and may span more than
+    COALESCE_TOL.
     """
     vals = net.kernel.ravel()
-    masses = np.outer(net.weights, net.weights).ravel()
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    masses = masses[order]
-    keep_vals = [vals[0]]
-    keep_mass = [masses[0]]
-    for v, m in zip(vals[1:], masses[1:]):
-        if v - keep_vals[-1] <= COALESCE_TOL:
-            keep_mass[-1] += m
-        else:
-            keep_vals.append(v)
-            keep_mass.append(m)
-    return DiscreteValueMeasure(np.asarray(keep_vals), np.asarray(keep_mass))
+    masses = np.outer(net.weights, net.weights).ravel()[order]
+    starts = np.concatenate(([True], np.diff(vals) > COALESCE_TOL))
+    atom = np.cumsum(starts) - 1
+    return DiscreteValueMeasure(vals[starts], np.bincount(atom, weights=masses))
 
 
 @dataclasses.dataclass
@@ -58,14 +53,12 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     Maximizes G(A, B) = Sigma_ij Omega_ij sqrt(A_ij B_ij) over A with row
     sums <= m and B with column sums <= n, by the same closed-form
     two-block ascent as the network solver. Returns the distance value
-    sqrt(max(0, 4 delta^2 (|mu| + |nu|) - 8 delta^2 G*)).
+    sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
+    one feature of unit mass on each side.
     """
     m = np.asarray(mu.masses, dtype=np.float64)
     n = np.asarray(nu.masses, dtype=np.float64)
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
-    mass_term = float(m.sum() + n.sum())
-    d2_degenerate = 4.0 * kernel.delta ** 2 * mass_term
-
     live = W > 0
 
     def prepare(A, B):
@@ -81,29 +74,24 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     W2 = W * W
     best = None
     for A, B in inits:
-        if A.sum() == 0 or B.sum() == 0:
-            candidate = (0.0, [0.0], 0, True)
-        else:
-            obj = float((W * np.sqrt(A * B)).sum())
-            trace = [obj]
-            converged = False
-            it = 0
-            for it in range(1, max_iters + 1):
-                A = _tight(B * W2, m, 1)
-                B = _tight(A * W2, n, 0)
-                new_obj = float((W * np.sqrt(A * B)).sum())
-                trace.append(new_obj)
-                if abs(new_obj - obj) <= REL_TOL * max(1.0, abs(obj)):
-                    obj = new_obj
-                    converged = True
-                    break
-                obj = new_obj
-            candidate = (obj, trace, it, converged)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+        obj = float((W * np.sqrt(A * B)).sum())
+        trace = [obj]
+        converged = False
+        it = 0
+        for it in range(1, max_iters + 1):
+            A = _tight(B * W2, m, 1)
+            B = _tight(A * W2, n, 0)
+            new_obj = float((W * np.sqrt(A * B)).sum())
+            trace.append(new_obj)
+            converged = abs(new_obj - obj) <= REL_TOL * max(1.0, abs(obj))
+            obj = new_obj
+            if converged:
+                break
+        if best is None or obj > best[0]:
+            best = (obj, trace, it, converged)
     obj, trace, it, converged = best
-    d2 = d2_degenerate - 8.0 * kernel.delta ** 2 * obj
-    return UotReport(float(np.sqrt(max(d2, 0.0))), obj, it, converged, trace)
+    value = ccot_distance_from_objective(obj, (m.sum(), 1.0, n.sum(), 1.0), kernel.delta)
+    return UotReport(value, obj, it, converged, trace)
 
 
 def _monotone_plan(m, n):

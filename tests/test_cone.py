@@ -11,7 +11,7 @@ from conicot import (
     omega_eval,
     omega_of_gap,
 )
-from conicot.errors import NegativeArgument, NonFinite, SizeCapExceeded
+from conicot.errors import CapExceeded, NegativeArgument, NonFinite
 
 KERNELS = ["cos", "exp"]
 
@@ -132,5 +132,5 @@ def test_kernel_pd_check_oracle(rng):
 
 def test_kernel_pd_check_cap():
     k = make_kernel("exp", 0.5)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(CapExceeded):
         kernel_pd_check(k, np.zeros((30, 30)), np.zeros((30, 30)), cap=100)

@@ -35,6 +35,12 @@ def test_validate_network_basic():
     assert not net.kernel.flags.writeable
 
 
+def test_mass_follows_weights_without_validation():
+    # mass is read from the weights, also on a network built by hand
+    net = DiscreteMeasureNetwork(np.array([0.5, 0.5]), np.zeros((2, 2)))
+    assert net.mass == 1.0
+
+
 def test_validate_network_rejects_negative_weight():
     with pytest.raises(NegativeWeight) as exc:
         validate_network([0.5, -0.1], np.zeros((2, 2)))

@@ -12,6 +12,7 @@ from conicot import (
 from conicot.errors import (
     DegenerateSplit,
     EmptyCorrespondence,
+    InsufficientMass,
     PlacementFailure,
 )
 from tests.conftest import random_network
@@ -63,6 +64,18 @@ def test_image_to_network_argument_checks():
         image_to_network(img, n_sample=4, knn=4)
 
 
+def test_image_to_network_redraws_until_a_bright_pixel():
+    img = np.zeros((8, 8))
+    img[5, 2] = 1.0  # pixel 42 in the row-major order of the draws
+    rng = np.random.default_rng(1)
+    assert all(42 not in rng.choice(64, size=5, replace=False) for _ in range(2))
+    net = image_to_network(img, n_sample=5, knn=2, seed=1)
+    assert net.weights.tolist().count(1.0) == 1 and net.mass == 1.0
+    assert [5.0, 2.0] in net.points.tolist()
+    with pytest.raises(InsufficientMass):
+        image_to_network(np.zeros((8, 8)), n_sample=5, knn=2)
+
+
 def test_gen_aligned_shapes_and_correspondence():
     hx, hy, corr = gen_aligned_hypernetworks(50, 6, 9, noise=0.05,
                                              downsample_y=0.8, seed=2)
@@ -101,6 +114,14 @@ def test_foscttm_perfect_and_null(rng):
 def test_foscttm_worst_case():
     scores = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert foscttm(scores, {0: 0, 1: 1}) == 1.0
+
+
+def test_foscttm_matches_per_pair_count(rng):
+    # ties do not count as closer; pairs may repeat a row
+    scores = rng.integers(0, 4, size=(6, 9)).astype(float)
+    pairs = [(0, 3), (2, 2), (2, 8), (5, 0)]
+    fracs = [(scores[i] > scores[i, k]).sum() / 8 for i, k in pairs]
+    assert foscttm(scores, pairs) == float(np.mean(fracs))
 
 
 def test_knn_classify_separable(rng):

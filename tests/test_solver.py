@@ -27,7 +27,7 @@ def _setup(rng, dims=(3, 4, 3, 4), kernel_name="exp", delta=0.5):
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     config = SolverConfig(kernel=k)
-    quad = init_interior(marginals, tensor, config)
+    quad = init_interior(marginals, tensor)
     return hx, hy, tensor, marginals, config, quad
 
 

@@ -1,13 +1,14 @@
-"""The settable surface: every config field and CLI option, listed in full.
+"""The settable surface: every config field and CLI option, listed in full,
+and every error code the CLI can print.
 
-A setting added or removed anywhere shows up here as a diff, so each one is
-a deliberate change.
+A setting or error type added or removed anywhere shows up here as a diff,
+so each one is a deliberate change.
 """
 
 import argparse
 import dataclasses
 
-from conicot import BaselineConfig, SolverConfig, TensorPolicy
+from conicot import BaselineConfig, SolverConfig, TensorPolicy, errors
 from conicot.cli import build_parser
 
 SOLVE = ["--delta", "--kernel", "--max-iters", "--output", "--quantize",
@@ -39,6 +40,15 @@ CLI_OPTIONS = {
 }
 
 
+# the CLI prints "error: <code>: <message>" for every conicot.errors type
+ERROR_CODES = [
+    "budget_too_small", "cap_exceeded", "degenerate_split", "dimension_mismatch",
+    "empty_correspondence", "error", "insufficient_mass", "length_mismatch",
+    "mass_mismatch", "negative_argument", "negative_scale",
+    "negative_squared_distance", "negative_weight", "non_finite", "non_finite_entry",
+    "non_square_kernel", "placement_failure"]
+
+
 def _parsers(parser, prefix=""):
     """(name, parser) for the parser and every sub-parser below it, depth first."""
     yield prefix, parser
@@ -65,3 +75,9 @@ def test_settable_surface():
         for name, p in parsers.items() if name
     }
     assert options == CLI_OPTIONS
+
+
+def test_error_codes():
+    codes = sorted(cls.code for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, errors.ConicotError))
+    assert codes == ERROR_CODES

@@ -9,7 +9,7 @@ from conicot import (
     uot_solve,
     validate_network,
 )
-from conicot.uot import _monotone_plan
+from conicot.uot import COALESCE_TOL, _monotone_plan
 from tests.conftest import random_network
 
 
@@ -26,6 +26,34 @@ def test_pushforward_tolerance_merges_near_values():
     k = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
     nu = pushforward_value_distribution(validate_network([1.0, 1.0], k))
     assert nu.values.size == 2
+
+
+def test_pushforward_tolerance_chains_adjacent_values():
+    # 0 -> 6e-13 -> 1.2e-12: each step is within COALESCE_TOL, so all three
+    # share one atom at the smallest value although the ends are further apart
+    k = np.array([[0.0, 6e-13], [1.2e-12, 0.0]])
+    nu = pushforward_value_distribution(validate_network([1.0, 2.0], k))
+    assert nu.values.tolist() == [0.0]
+    assert nu.masses.tolist() == [9.0]
+
+
+def test_pushforward_matches_loop_reference(rng):
+    # the merge rule written as a loop over sorted values; few distinct
+    # values, some 5e-13 apart, so atoms merge, chain and stay apart
+    k = rng.integers(0, 4, size=(7, 7)) * 5e-13 + rng.integers(0, 3, size=(7, 7))
+    net = validate_network(rng.uniform(0.1, 1.0, 7), k)
+    order = np.argsort(k.ravel(), kind="stable")
+    vals, masses = k.ravel()[order], np.outer(net.weights, net.weights).ravel()[order]
+    keep_vals, keep_mass = [vals[0]], [masses[0]]
+    for prev, v, m in zip(vals, vals[1:], masses[1:]):
+        if v - prev <= COALESCE_TOL:
+            keep_mass[-1] += m
+        else:
+            keep_vals.append(v)
+            keep_mass.append(m)
+    nu = pushforward_value_distribution(net)
+    assert np.array_equal(nu.values, keep_vals)
+    assert np.array_equal(nu.masses, keep_mass)
 
 
 def test_monotone_plan_identical_is_diagonal():
