@@ -27,13 +27,12 @@ import dataclasses
 import numpy as np
 
 from .baselines import BaselineConfig, gw2_solve
-from .cone import ConeKernel, kernel_constants
+from .cone import ConeKernel, _ccot_d2, kernel_constants
 from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_measure,
                    tv_gap, validate_network)
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,
-    _ccot_d2,
     bca_solve,
     cgw_solve,
     objective_F,

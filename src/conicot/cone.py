@@ -80,14 +80,22 @@ def omega_of_gap(kernel: ConeKernel, u, v):
     return omega_eval(kernel, gap / (2.0 * kernel.delta))
 
 
+def _ccot_d2(F, masses, delta: float) -> float:
+    """Signed 4 delta^2 (m_X m_X' + m_Y m_Y') - 8 delta^2 F; masses in that order."""
+    m_x, m_xp, m_y, m_yp = masses
+    return 4.0 * delta**2 * (m_x * m_xp + m_y * m_yp) - 8.0 * delta**2 * F
+
+
 def cone_distance_sq(kernel: ConeKernel, p, q) -> float:
-    """Squared cone distance between cone points p = (x, r), q = (y, s) over the line."""
+    """Squared cone distance between cone points p = (x, r), q = (y, s) over the line.
+
+    The one-atom case of the CCOT distance: objective r s Omega, masses (r, r, s, s).
+    """
     x, r = p
     y, s = q
     if r < 0 or s < 0:
         raise NegativeArgument("radial coordinates must be nonnegative")
-    om = omega_of_gap(kernel, x, y)
-    d2 = 4.0 * kernel.delta**2 * (r * r + s * s - 2.0 * r * s * om)
+    d2 = _ccot_d2(r * s * omega_of_gap(kernel, x, y), (r, r, s, s), kernel.delta)
     return float(max(d2, 0.0))
 
 

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .cone import ConeKernel
+from .cone import ConeKernel, _ccot_d2
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
 from .errors import DimensionMismatch, NegativeSquaredDistance
 from .tensor import (DistortionTensor, Side, TensorPolicy, build_tensor, contract,
@@ -90,6 +90,7 @@ class SolverReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "quantization_uncertainty": self.quantization_uncertainty,
+            "wall_time": self.wall_time,
             "config": self.config,
         }
         if self.frobenius_gap_trace:
@@ -109,12 +110,6 @@ def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor) -> float:
     Mp = np.sqrt(quad.Ap * quad.Bp)
     P = contract(tensor, Side.SampleSide, Mp)
     return float((np.sqrt(quad.A * quad.B) * P).sum())
-
-
-def _ccot_d2(F, masses, delta: float) -> float:
-    """Signed 4 delta^2 (m_X m_X' + m_Y m_Y') - 8 delta^2 F; masses in that order."""
-    m_x, m_xp, m_y, m_yp = masses
-    return 4.0 * delta**2 * (m_x * m_xp + m_y * m_yp) - 8.0 * delta**2 * F
 
 
 def ccot_distance_from_objective(F_star: float, masses, delta: float,

@@ -35,6 +35,8 @@ import dataclasses
 import enum
 import functools
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -130,17 +132,43 @@ def _quantize(values: np.ndarray, q: int):
     return centers, ids, width / 2.0
 
 
+# entries per gap buffer of a dense build block: 512 KiB, so it stays in cache
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Omega(|wx[i, j] - wy[k, l]| / 2 delta) as an (n*m) x (n'*m') matrix.
 
-    Built in (i, k, j, l) order; abs and scaling reuse the one gap buffer.
+    The output is allocated once and filled in blocks of consecutive rows
+    (i, k), each holding at most _BLOCK_ENTRIES entries (or one row, if a row
+    is longer). A block's gap buffer takes abs and scaling in place, so every
+    entry sees the same operations as one full-size buffer would, and
+    omega_eval checks each block. The blocks are dealt round-robin to one
+    thread per available CPU: the ufuncs release the GIL, so the threads
+    share both the arithmetic and the first-touch page faults of the output.
     """
-    gaps = wx[:, None, :, None] - wy[None, :, None, :]
-    np.abs(gaps, out=gaps)
-    np.divide(gaps, 2.0 * kernel.delta, out=gaps)
     n, np_ = wx.shape
     m, mp = wy.shape
-    return omega_eval(kernel, gaps).reshape(n * m, np_ * mp)
+    out = np.empty((n * m, np_ * mp))
+    rows = max(1, _BLOCK_ENTRIES // max(np_ * mp, 1))
+    starts = range(0, n * m, rows)
+    scale = 2.0 * kernel.delta
+    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
+
+    def fill(first: int) -> None:
+        for r0 in starts[first::workers]:
+            r = np.arange(r0, min(r0 + rows, n * m))
+            gaps = wx[r // m, :, None] - wy[r % m, None, :]
+            np.abs(gaps, out=gaps)
+            np.divide(gaps, scale, out=gaps)
+            out[r0:r0 + r.size] = omega_eval(kernel, gaps).reshape(r.size, np_ * mp)
+
+    if workers == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(workers)))
+    return out
 
 
 def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y, cap: int = 400) -> float:

@@ -266,16 +266,8 @@ def test_squares_knn_classification_error():
             + c.gen_squares(50, g=4, side=5, image_size=32, seed=200))
     labels = np.array([0] * 50 + [1] * 50)
 
-    def net_of(img, base_seed):
-        # a dark sample draw raises; retry with fresh seeds
-        for s in range(base_seed, base_seed + 20):
-            try:
-                return c.image_to_network(img, n_sample=60, knn=4, seed=s)
-            except c.errors.InsufficientMass:
-                continue
-        raise RuntimeError("no valid sample after 20 seeds")
-
-    nets = [net_of(img, 1000 + 37 * i) for i, img in enumerate(imgs)]
+    nets = [c.image_to_network(img, n_sample=60, knn=4, seed=1000 + 37 * i)
+            for i, img in enumerate(imgs)]
     policy = c.TensorPolicy(max_dense_bytes=16 * 60 * 60)  # force factored
     cfg = c.SolverConfig(kernel=c.make_kernel("exp", 0.5), restarts=1,
                          max_iters=100, rel_tol=1e-8, tensor_policy=policy)

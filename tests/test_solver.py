@@ -174,7 +174,7 @@ def test_report_fields(rng):
     assert report.pd_min_eigenvalue is not None
     d = report.to_json_dict()
     for key in ("distance", "objective", "iterations", "converged",
-                "quantization_uncertainty", "config", "frobenius_gap"):
+                "quantization_uncertainty", "wall_time", "config", "frobenius_gap"):
         assert key in d
     assert d["config"]["kernel"] == "exp"
 

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+import conicot.tensor
 from conicot import (
     Side,
     TensorMode,
@@ -11,10 +14,12 @@ from conicot import (
     embed_network_as_hypernetwork,
     kernel_pd_check,
     make_kernel,
+    omega_eval,
     validate_hypernetwork,
 )
-from conicot.errors import BudgetTooSmallForEitherPath, DimensionMismatch, NegativeArgument
-from conicot.tensor import _quantize
+from conicot.errors import (BudgetTooSmallForEitherPath, DimensionMismatch, NegativeArgument,
+                            NonFinite)
+from conicot.tensor import _omega_matrix, _quantize
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -68,6 +73,52 @@ def test_dense_matrix_layout_rectangular(rng, family):
     M = rng.uniform(size=(4, 5))
     assert np.allclose(contract(t, Side.FeatureSide, M),
                        np.einsum("ijkl,ik->jl", T, M), atol=1e-12)
+
+
+def _one_buffer_omega_matrix(kernel, wx, wy):
+    """The dense build as one full-size gap buffer, for comparison."""
+    gaps = wx[:, None, :, None] - wy[None, :, None, :]
+    np.abs(gaps, out=gaps)
+    np.divide(gaps, 2.0 * kernel.delta, out=gaps)
+    return omega_eval(kernel, gaps).reshape(wx.shape[0] * wy.shape[0], -1)
+
+
+# 37*29 rows of 11*13 entries make three row blocks, the last one partial
+BLOCK_SHAPES = [((37, 11), (29, 13)), ((3, 4), (2, 5))]
+
+
+@pytest.mark.parametrize("family", ["cos", "exp"])
+@pytest.mark.parametrize("sx, sy", BLOCK_SHAPES)
+def test_blocked_omega_matrix_equals_one_buffer(rng, family, sx, sy):
+    wx, wy = rng.uniform(0, 3, size=sx), rng.uniform(0, 3, size=sy)
+    k = make_kernel(family, 0.4)
+    assert np.array_equal(_omega_matrix(k, wx, wy), _one_buffer_omega_matrix(k, wx, wy))
+
+
+@pytest.mark.parametrize("family", ["cos", "exp"])
+@pytest.mark.parametrize("block_entries", [conicot.tensor._BLOCK_ENTRIES, 1000])
+def test_blocked_omega_matrix_more_workers_than_cores(rng, monkeypatch, family,
+                                                      block_entries):
+    # 8 workers on any host; 1000-entry blocks give 179 blocks to deal
+    monkeypatch.setattr(conicot.tensor.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(conicot.tensor, "_BLOCK_ENTRIES", block_entries)
+    wx, wy = rng.uniform(0, 3, size=(37, 11)), rng.uniform(0, 3, size=(29, 13))
+    k = make_kernel(family, 0.4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _omega_matrix(k, wx, wy)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, _one_buffer_omega_matrix(k, wx, wy))
+
+
+def test_blocked_omega_matrix_raises_from_a_worker(rng, monkeypatch):
+    monkeypatch.setattr(conicot.tensor.os, "sched_getaffinity", lambda pid: set(range(8)))
+    wx, wy = rng.uniform(0, 3, size=(37, 11)), rng.uniform(0, 3, size=(29, 13))
+    wx[20, 5] = np.inf  # rows (20, k) lie in the second block
+    with pytest.raises(NonFinite):
+        _omega_matrix(make_kernel("exp", 0.4), wx, wy)
 
 
 def test_contract_shape_check(rng):
