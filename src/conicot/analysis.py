@@ -86,8 +86,8 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
         2 delta |r - s| mass (diagonal seed makes this a certified bound);
     (b) scaling the optimized quadruple of (a) by t multiplies the objective
         by t^2 and the squared distance by t^2 (checked to 1e-9 relative);
-    (c) combined bound: d(N^r, N^s vs a jittered partner) via triangle
-        inequality, reported with slack.
+    (c) combined bound: d(N^r, N^s) against the triangle bound through N,
+        2 delta (|1 - r| + |1 - s|) mass, with slack.
     """
     delta = config.kernel.delta
     mass = net.mass
@@ -125,7 +125,7 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
         "pass": bool(rel <= 1e-9 and rel_d <= 1e-9),
     }
 
-    # (c) triangle-combined bound against an unscaled pair of copies
+    # (c) d(N^r, N^s) <= d(N^r, N) + d(N, N^s), each bounded as in (a)
     d_rs, _ = cgw_solve(scale_measure(net, r), scale_measure(net, s),
                         _with(config, extra_inits=[_diag_quad(r * net.weights,
                                                               s * net.weights)]))
@@ -285,8 +285,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
     return out
 
 
-def gw_fragility_demo(eps: float, f_eps: float,
-                      bcfg: BaselineConfig | None = None) -> dict:
+def gw_fragility_demo(eps: float, f_eps: float) -> dict:
     """Arbitrarily large GW response to an eps-perturbation of the measure.
 
     Builds the two-point-vs-one-point instance whose clean GW2 distance is 0
@@ -295,14 +294,13 @@ def gw_fragility_demo(eps: float, f_eps: float,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    bcfg = bcfg or BaselineConfig()
     d = float(np.sqrt(2.0 / ((1 - eps) * eps)) * f_eps)
     wx = np.array([[0.0, d], [d, 0.0]])
     clean = validate_network(np.array([1.0, 0.0]), wx)
     perturbed = validate_network(np.array([1.0 - eps, eps]), wx)
     point = validate_network(np.array([1.0]), np.array([[0.0]]))
-    clean_value, _ = gw2_solve(clean, point, bcfg)
-    pert_value, _ = gw2_solve(perturbed, point, bcfg)
+    clean_value, _ = gw2_solve(clean, point)
+    pert_value, _ = gw2_solve(perturbed, point)
     closed_form = float(np.sqrt((1 - eps) * eps / 2.0) * d)
     cgw_contrast = _envelope(0.5, 2.0, eps)  # delta = 1/2, m_X + m_Y = 2
     return {

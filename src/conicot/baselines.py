@@ -16,6 +16,8 @@ from scipy import optimize, sparse
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
 from .errors import CapExceeded, MassMismatch
 
+OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
+
 
 @dataclasses.dataclass
 class Coupling:
@@ -44,18 +46,19 @@ def _check_equal_mass(a, b):
         raise MassMismatch(f"total masses {a.sum()} vs {b.sum()}")
 
 
-def ot_exact(a, b, cost, cap: int = 512):
+def ot_exact(a, b, cost):
     """Exact optimal transport by linear programming (HiGHS dual simplex).
 
-    Returns (Coupling, optimal value). Marginals must have equal total mass.
+    Returns (Coupling, optimal value). Marginals must have equal total mass,
+    and neither side may exceed OT_EXACT_CAP points.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
     _check_equal_mass(a, b)
-    if n > cap or m > cap:
-        raise CapExceeded(f"sizes ({n},{m}) exceed cap {cap}")
+    if n > OT_EXACT_CAP or m > OT_EXACT_CAP:
+        raise CapExceeded(f"sizes ({n},{m}) exceed cap {OT_EXACT_CAP}")
     A_eq = _transport_constraints(n, m)
     b_eq = np.concatenate([a, b])[:-1]
     res = optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq,
@@ -146,7 +149,7 @@ class BaselineConfig:
 
 
 def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
-              config: BaselineConfig | None = None, extra_inits=()):
+              config: BaselineConfig | None = None):
     """GW2 upper-bound estimate by Frank-Wolfe with exact line search.
 
     Returns (value, Coupling); value includes the 1/2 prefactor of the
@@ -162,7 +165,6 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
         pi0 = _round_to_polytope(inits[0] * noise, a, b)
         inits.append(pi0)
-    inits.extend(np.asarray(e, dtype=np.float64) for e in extra_inits)
 
     best = None
     for pi in inits:

@@ -92,6 +92,7 @@ class SolverReport:
             "quantization_uncertainty": self.quantization_uncertainty,
             "wall_time": self.wall_time,
             "config": self.config,
+            "best_restart": self.best_restart,
         }
         if self.frobenius_gap_trace:
             d["frobenius_gap"] = self.frobenius_gap_trace[-1]
@@ -175,32 +176,22 @@ def project_to_gamma_bar(
     )
 
 
-# block -> (complementary matrix, marginal index, tight axis)
-_BLOCKS = {"A": ("B", 0, 1), "B": ("A", 1, 0),
-           "Aprime": ("Bp", 2, 1), "Bprime": ("Ap", 3, 0)}
+def update_block(partner, K, row_target, col_target):
+    """One ascent step on a semi-coupling pair (A, B), the other pair fixed.
 
-
-def update_block(block: str, quad: SemiCouplingQuadruple, tensor: DistortionTensor,
-                 marginals, PQ=None) -> np.ndarray:
-    """Closed-form maximizer of F over one block, the others held fixed.
-
-    block in {"A", "B", "Aprime", "Bprime"}. The complementary matrix of the
-    pair, weighted by P^2 (for A, B) or Q^2 (for Aprime, Bprime), is made
-    tight to the block's marginal. PQ optionally supplies the freshly
-    contracted P or Q.
+    With the other pair held fixed, F = Sigma_ik K_ik sqrt(A_ik B_ik) for K its
+    contraction (P for the pair (A, B), Q for (A', B')). A, the maximizer over
+    A given B = partner, is partner weighted by K^2 and made tight to
+    row_target; B, the maximizer given that new A, is A weighted by K^2 and
+    made tight to col_target. Returns (A, B).
     """
-    partner, idx, axis = _BLOCKS[block]
-    if PQ is None:
-        if block in ("A", "B"):
-            PQ = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
-        else:
-            PQ = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-    target = np.asarray(marginals[idx], dtype=np.float64)
-    return _tight(getattr(quad, partner) * PQ * PQ, target, axis)
+    A = _tight(partner * K * K, row_target, 1)
+    return A, _tight(A * K * K, col_target, 0)
 
 
 def _run_single(tensor, marginals, quad, config):
     """Cyclic sweeps from a feasible initial quadruple. Returns best state."""
+    a, b, ap, bp = marginals
     trace = []
     frob = []
     step = []
@@ -208,16 +199,17 @@ def _run_single(tensor, marginals, quad, config):
     trace.append(F_prev)
     converged = False
     it = 0
+    Mp = np.sqrt(quad.Ap * quad.Bp)
     for it in range(1, config.max_iters + 1):
-        # update_block rebinds the blocks and never mutates them in place
+        # update_block returns new blocks and never mutates them in place
         prev = (quad.A, quad.B, quad.Ap, quad.Bp)
-        P = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
-        quad.A = update_block("A", quad, tensor, marginals, PQ=P)
-        quad.B = update_block("B", quad, tensor, marginals, PQ=P)
+        # P is passed inline: holding it to the end of the sweep as well as
+        # Mp would keep one more n x m array alive at the memory peak
+        quad.A, quad.B = update_block(quad.B, contract(tensor, Side.SampleSide, Mp), a, b)
         Q = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-        quad.Ap = update_block("Aprime", quad, tensor, marginals, PQ=Q)
-        quad.Bp = update_block("Bprime", quad, tensor, marginals, PQ=Q)
-        F = float((np.sqrt(quad.Ap * quad.Bp) * Q).sum())
+        quad.Ap, quad.Bp = update_block(quad.Bp, Q, ap, bp)
+        Mp = np.sqrt(quad.Ap * quad.Bp)
+        F = float((Mp * Q).sum())
         trace.append(F)
         if quad.A.shape == quad.Ap.shape:
             frob.append(
@@ -295,7 +287,9 @@ def cgw_solve(
     The returned value is always a valid CCOT value; it equals CGW when the
     final semi-coupling pairs coincide (small Frobenius gap) and the distortion
     kernel is positive definite, in which case equality_certified is set.
+    The report's wall_time covers the whole call: embedding, ascent and PD check.
     """
+    t0 = time.perf_counter()
     hx = embed_network_as_hypernetwork(nx)
     hy = embed_network_as_hypernetwork(ny)
     distance, quad, report = bca_solve(hx, hy, config)
@@ -309,4 +303,5 @@ def cgw_solve(
         )
         pd_ok = report.pd_min_eigenvalue >= -1e-9
     report.equality_certified = bool(gap_ok and pd_ok)
+    report.wall_time = time.perf_counter() - t0
     return distance, report

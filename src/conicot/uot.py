@@ -14,7 +14,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
-from .solver import _product_pair, _tight, ccot_distance_from_objective
+from .solver import _product_pair, _tight, ccot_distance_from_objective, update_block
 
 COALESCE_TOL = 1e-12  # sorted kernel values this close to the previous share its atom
 REL_TOL = 1e-12  # relative objective change at which uot_solve stops
@@ -51,8 +51,8 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     """Conic semi-coupling distance between two scalar value distributions.
 
     Maximizes G(A, B) = Sigma_ij Omega_ij sqrt(A_ij B_ij) over A with row
-    sums <= m and B with column sums <= n, by the same closed-form
-    two-block ascent as the network solver. Returns the distance value
+    sums <= m and B with column sums <= n, by the network solver's pair
+    step with the contraction fixed at Omega. Returns the distance value
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
     one feature of unit mass on each side.
     """
@@ -71,7 +71,6 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     scale = n.sum() / max(m.sum(), 1e-300)
     inits.append(prepare(pi, pi * scale))
 
-    W2 = W * W
     best = None
     for A, B in inits:
         obj = float((W * np.sqrt(A * B)).sum())
@@ -79,8 +78,7 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            A = _tight(B * W2, m, 1)
-            B = _tight(A * W2, n, 0)
+            A, B = update_block(B, W, m, n)
             new_obj = float((W * np.sqrt(A * B)).sum())
             trace.append(new_obj)
             converged = abs(new_obj - obj) <= REL_TOL * max(1.0, abs(obj))

@@ -31,34 +31,51 @@ def _setup(rng, dims=(3, 4, 3, 4), kernel_name="exp", delta=0.5):
     return hx, hy, tensor, marginals, config, quad
 
 
+# block -> (quadruple field, marginal index, tight axis); a row-tight block is
+# the first output of its pair step, a column-tight block the second
+_BLOCKS = {"A": ("A", 0, 1), "B": ("B", 1, 0),
+           "Aprime": ("Ap", 2, 1), "Bprime": ("Bp", 3, 0)}
+
+
+def _pair_step(quad, tensor, marginals, block):
+    """The contraction K of the block's pair and the pair step (A, B) from quad."""
+    a, b, ap, bp = marginals
+    if block in ("A", "B"):
+        K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
+        return K, update_block(quad.B, K, a, b)
+    K = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
+    return K, update_block(quad.Bp, K, ap, bp)
+
+
 @pytest.mark.parametrize("block", ["A", "B", "Aprime", "Bprime"])
 def test_block_update_beats_random_candidates(rng, block):
-    # the closed-form update must dominate feasible alternatives for its block
+    # the closed-form update must dominate feasible alternatives for its block;
+    # a second output is checked with the first output in place
     _, _, tensor, marginals, _, quad = _setup(rng)
-    new = update_block(block, quad, tensor, marginals)
+    field, idx, axis = _BLOCKS[block]
+    _, (first, second) = _pair_step(quad, tensor, marginals, block)
     base = quad.copy()
-    setattr(base, {"A": "A", "B": "B", "Aprime": "Ap", "Bprime": "Bp"}[block], new)
+    if axis == 0:
+        setattr(base, {"B": "A", "Bprime": "Ap"}[block], first)
+    held = base.copy()
+    setattr(base, field, first if axis == 1 else second)
     best = objective_F(base, tensor)
-    a, b, ap, bp = marginals
-    axis_row = block in ("A", "Aprime")
-    target = {"A": a, "B": b, "Aprime": ap, "Bprime": bp}[block]
-    shape = new.shape
+    target = marginals[idx]
     for _ in range(40):
-        cand = rng.uniform(size=shape)
-        if axis_row:
+        cand = rng.uniform(size=first.shape)
+        if axis == 1:
             cand = cand / cand.sum(axis=1, keepdims=True) * target[:, None]
         else:
             cand = cand / cand.sum(axis=0, keepdims=True) * target[None, :]
-        trial = quad.copy()
-        setattr(trial, {"A": "A", "B": "B", "Aprime": "Ap", "Bprime": "Bp"}[block],
-                cand)
+        trial = held.copy()
+        setattr(trial, field, cand)
         assert objective_F(trial, tensor) <= best + 1e-10 * max(1.0, best)
 
 
 def test_block_update_grid_oracle_1d(rng):
     # a 2-column A row is a 1-parameter family; fine grid confirms the optimum
     _, _, tensor, marginals, _, quad = _setup(rng, dims=(2, 2, 2, 2))
-    new = update_block("A", quad, tensor, marginals)
+    _, (new, _) = _pair_step(quad, tensor, marginals, "A")
     base = quad.copy()
     base.A = new
     best = objective_F(base, tensor)
@@ -72,30 +89,23 @@ def test_block_update_grid_oracle_1d(rng):
 
 
 def test_bprime_update_uses_complementary_matrix(rng):
-    # regression guard: the B' numerator weights must come from A', not B'
+    # regression guard: the B' numerator weights must come from the new A',
+    # not from B'
     _, _, tensor, marginals, _, quad = _setup(rng)
-    quad.Ap = quad.Ap * rng.uniform(0.2, 2.0, size=quad.Ap.shape)
+    quad.Bp = quad.Bp * rng.uniform(0.2, 2.0, size=quad.Bp.shape)
     bp = marginals[3]
-    from conicot.tensor import Side, contract
-
-    Q = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-    new = update_block("Bprime", quad, tensor, marginals)
-    W = quad.Ap * Q * Q
+    Q, (Ap, new) = _pair_step(quad, tensor, marginals, "Bprime")
+    W = Ap * Q * Q
     expected = bp[None, :] * W / W.sum(axis=0, keepdims=True)
     assert np.allclose(new, expected, atol=1e-12)
     # the variant built from B' would score strictly worse here
     Wwrong = quad.Bp * Q * Q
     wrong = bp[None, :] * Wwrong / Wwrong.sum(axis=0, keepdims=True)
     good = quad.copy()
-    good.Bp = new
+    good.Ap, good.Bp = Ap, new
     bad = quad.copy()
-    bad.Bp = wrong
+    bad.Ap, bad.Bp = Ap, wrong
     assert objective_F(good, tensor) > objective_F(bad, tensor)
-
-
-# block -> (complementary matrix, marginal index, tight axis)
-_PARTNER = {"A": ("B", 0, 1), "B": ("A", 1, 0),
-            "Aprime": ("Bp", 2, 1), "Bprime": ("Ap", 3, 0)}
 
 
 def _line(axis, idx):
@@ -118,15 +128,18 @@ def _assert_tight_with_line_1_zero(new, W, target, axis):
 
 @pytest.mark.parametrize("block", ["A", "B", "Aprime", "Bprime"])
 def test_block_update_vanishing_line_stays_zero(rng, block):
+    # zeroing line 1 of the partner zeroes line 1 of the block's weights: a
+    # row for the first output, a column (through the first output) for the
+    # second
     _, _, tensor, marginals, _, quad = _setup(rng)
-    partner, idx, axis = _PARTNER[block]
-    getattr(quad, partner)[_line(axis, 1)] = 0.0
-    if block in ("A", "B"):
-        PQ = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
+    _, idx, axis = _BLOCKS[block]
+    partner = quad.B if block in ("A", "B") else quad.Bp
+    partner[_line(axis, 1)] = 0.0
+    K, (first, second) = _pair_step(quad, tensor, marginals, block)
+    if axis == 1:
+        new, W = first, partner * K * K
     else:
-        PQ = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-    new = update_block(block, quad, tensor, marginals)
-    W = getattr(quad, partner) * PQ * PQ
+        new, W = second, first * K * K
     _assert_tight_with_line_1_zero(new, W, marginals[idx], axis)
 
 
@@ -174,8 +187,11 @@ def test_report_fields(rng):
     assert report.pd_min_eigenvalue is not None
     d = report.to_json_dict()
     for key in ("distance", "objective", "iterations", "converged",
-                "quantization_uncertainty", "wall_time", "config", "frobenius_gap"):
+                "quantization_uncertainty", "wall_time", "config", "frobenius_gap",
+                "best_restart"):
         assert key in d
+    assert d["best_restart"] == report.best_restart
+    assert 0 <= d["best_restart"] < cfg.restarts
     assert d["config"]["kernel"] == "exp"
 
 

@@ -3,13 +3,17 @@ import pytest
 
 from conicot import (
     DiscreteValueMeasure,
+    SemiCouplingQuadruple,
+    SolverConfig,
+    bca_solve,
     cgw_lower_bound,
     make_kernel,
     pushforward_value_distribution,
     uot_solve,
+    validate_hypernetwork,
     validate_network,
 )
-from conicot.uot import COALESCE_TOL, _monotone_plan
+from conicot.uot import COALESCE_TOL, REL_TOL, _monotone_plan
 from tests.conftest import random_network
 
 
@@ -147,3 +151,23 @@ def test_uot_disjoint_supports_full_destruction():
     rep = uot_solve(mu, nu, k)
     assert rep.objective == 0.0
     assert rep.value == pytest.approx(np.sqrt(4 * k.delta**2 * 5.0))
+
+
+@pytest.mark.parametrize("name", ["cos", "exp"])
+def test_uot_equals_one_feature_ccot(rng, name):
+    # the bound is the CCOT distance between the value distributions seen as
+    # hypernetworks with one unit-mass feature each, solved from the same
+    # two starts (product and monotone plan) with the same stopping rule
+    k = make_kernel(name, 0.5)
+    for _ in range(4):
+        mu = pushforward_value_distribution(random_network(rng, 4))
+        nu = pushforward_value_distribution(random_network(rng, 5))
+        hx = validate_hypernetwork(mu.masses, [1.0], mu.values[:, None])
+        hy = validate_hypernetwork(nu.masses, [1.0], nu.values[:, None])
+        pi = _monotone_plan(mu.masses, nu.masses)
+        scale = nu.total_mass / mu.total_mass
+        seed = SemiCouplingQuadruple(pi, pi * scale, np.ones((1, 1)), np.ones((1, 1)))
+        cfg = SolverConfig(kernel=k, restarts=1, rel_tol=REL_TOL, max_iters=1000,
+                           extra_inits=[seed])
+        ccot, _, _ = bca_solve(hx, hy, cfg)
+        assert uot_solve(mu, nu, k).value == pytest.approx(ccot, rel=1e-12)
