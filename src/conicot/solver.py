@@ -21,11 +21,8 @@ import numpy as np
 from .cone import ConeKernel, _ccot_d2
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
 from .errors import DimensionMismatch, NegativeSquaredDistance
-from .tensor import (DistortionTensor, Side, TensorPolicy, build_tensor, contract,
-                     kernel_pd_check)
-
-# largest n*m whose kernel PD check (a dense nm x nm eigensolve) cgw_solve runs
-PD_CHECK_CAP = 400
+from .tensor import (PD_CHECK_CAP, DistortionTensor, Side, TensorPolicy, build_tensor,
+                     contract, kernel_pd_check)
 
 
 @dataclasses.dataclass
@@ -77,8 +74,7 @@ class SolverReport:
     quantization_uncertainty: float
     wall_time: float
     config: dict
-    frobenius_gap_trace: list = dataclasses.field(default_factory=list)
-    step_trace: list = dataclasses.field(default_factory=list)
+    frobenius_gap: float | None = None
     equality_certified: bool | None = None
     pd_min_eigenvalue: float | None = None
     best_restart: int = 0
@@ -94,8 +90,8 @@ class SolverReport:
             "config": self.config,
             "best_restart": self.best_restart,
         }
-        if self.frobenius_gap_trace:
-            d["frobenius_gap"] = self.frobenius_gap_trace[-1]
+        if self.frobenius_gap is not None:
+            d["frobenius_gap"] = self.frobenius_gap
         if self.equality_certified is not None:
             d["equality_certified"] = self.equality_certified
         return d
@@ -192,17 +188,12 @@ def update_block(partner, K, row_target, col_target):
 def _run_single(tensor, marginals, quad, config):
     """Cyclic sweeps from a feasible initial quadruple. Returns best state."""
     a, b, ap, bp = marginals
-    trace = []
-    frob = []
-    step = []
     F_prev = objective_F(quad, tensor)
-    trace.append(F_prev)
+    trace = [F_prev]
     converged = False
     it = 0
     Mp = np.sqrt(quad.Ap * quad.Bp)
     for it in range(1, config.max_iters + 1):
-        # update_block returns new blocks and never mutates them in place
-        prev = (quad.A, quad.B, quad.Ap, quad.Bp)
         # P is passed inline: holding it to the end of the sweep as well as
         # Mp would keep one more n x m array alive at the memory peak
         quad.A, quad.B = update_block(quad.B, contract(tensor, Side.SampleSide, Mp), a, b)
@@ -211,20 +202,11 @@ def _run_single(tensor, marginals, quad, config):
         Mp = np.sqrt(quad.Ap * quad.Bp)
         F = float((Mp * Q).sum())
         trace.append(F)
-        if quad.A.shape == quad.Ap.shape:
-            frob.append(
-                float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
-            )
-        step.append(
-            float(((quad.A - prev[0]) ** 2).sum() + ((quad.B - prev[1]) ** 2).sum()
-                  + ((quad.Ap - prev[2]) ** 2).sum()
-                  + ((quad.Bp - prev[3]) ** 2).sum())
-        )
         if abs(F - F_prev) <= config.rel_tol * max(1.0, abs(F_prev)):
             converged = True
             break
         F_prev = F
-    return quad, trace, frob, step, converged, it
+    return quad, trace, converged, it
 
 
 def bca_solve(
@@ -249,21 +231,23 @@ def bca_solve(
     for _ in range(max(0, config.restarts - 1)):
         inits.append(init_interior(marginals, tensor, jitter_rng=rng))
     for extra in config.extra_inits:
-        inits.append(project_to_gamma_bar(extra.copy(), tensor, marginals))
+        inits.append(project_to_gamma_bar(extra, tensor, marginals))
 
     best = None
     for idx, quad in enumerate(inits):
-        quad, trace, frob, step, converged, iters = _run_single(
-            tensor, marginals, quad, config)
+        quad, trace, converged, iters = _run_single(tensor, marginals, quad, config)
         F = trace[-1]
         if best is None or F > best[0]:
-            best = (F, idx, quad, trace, frob, step, converged, iters)
+            best = (F, idx, quad, trace, converged, iters)
 
-    F_star, idx, quad, trace, frob, step, converged, iters = best
+    F_star, idx, quad, trace, converged, iters = best
     distance = ccot_distance_from_objective(F_star, masses, config.kernel.delta)
     M = np.sqrt(quad.A * quad.B)
     Mp = np.sqrt(quad.Ap * quad.Bp)
     qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
+    gap = None
+    if quad.A.shape == quad.Ap.shape:
+        gap = float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
     report = SolverReport(
         objective_trace=trace,
         distance=distance,
@@ -272,8 +256,7 @@ def bca_solve(
         quantization_uncertainty=qunc,
         wall_time=time.perf_counter() - t0,
         config=config.echo(),
-        frobenius_gap_trace=frob,
-        step_trace=step,
+        frobenius_gap=gap,
         best_restart=idx,
     )
     return distance, quad, report
@@ -293,14 +276,11 @@ def cgw_solve(
     hx = embed_network_as_hypernetwork(nx)
     hy = embed_network_as_hypernetwork(ny)
     distance, quad, report = bca_solve(hx, hy, config)
-    gap = report.frobenius_gap_trace[-1] if report.frobenius_gap_trace else 0.0
     norm = float((quad.A**2).sum() + (quad.B**2).sum())
-    gap_ok = gap < 1e-10 * max(norm, 1e-300)
+    gap_ok = report.frobenius_gap < 1e-10 * max(norm, 1e-300)
     pd_ok = False
     if nx.n * ny.n <= PD_CHECK_CAP:
-        report.pd_min_eigenvalue = kernel_pd_check(
-            config.kernel, nx.kernel, ny.kernel, cap=PD_CHECK_CAP
-        )
+        report.pd_min_eigenvalue = kernel_pd_check(config.kernel, nx.kernel, ny.kernel)
         pd_ok = report.pd_min_eigenvalue >= -1e-9
     report.equality_certified = bool(gap_ok and pd_ok)
     report.wall_time = time.perf_counter() - t0

@@ -171,7 +171,12 @@ def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     return out
 
 
-def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y, cap: int = 400) -> float:
+# largest n*m whose kernel PD check (a dense nm x nm eigensolve) runs
+PD_CHECK_CAP = 400
+
+
+def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y,
+                    cap: int = PD_CHECK_CAP) -> float:
     """Smallest eigenvalue of the (nm x nm) similarity matrix between kernel entries.
 
     K[(i,k),(i',k')] = Omega(|omega_X(i,i') - omega_Y(k,k')| / 2 delta) is the

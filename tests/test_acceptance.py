@@ -9,6 +9,7 @@ recovery.  These are slower than the unit tests and are meant to run as a
 gate, not in a tight edit loop.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_robustness_bound_and_gw_fragility():
 
 def test_coupling_pair_gap_vanishes_on_adjacency_pairs():
     gap_ok = 0
-    trend_ok = 0
+    unseeded_ok = 0
     for trial in range(20):
         rng = np.random.default_rng(trial)
         n = 10 if trial % 2 == 0 else 20
@@ -249,13 +250,14 @@ def test_coupling_pair_gap_vanishes_on_adjacency_pairs():
             extra_inits=[SemiCouplingQuadruple(pi.copy(), pi.copy(),
                                                pi.copy(), pi.copy())])
         _, report = c.cgw_solve(nx, ny, cfg)
-        if report.frobenius_gap_trace[-1] < 1e-6:
+        if report.frobenius_gap < 1e-6:
             gap_ok += 1
-        step = np.asarray(report.step_trace)
-        if len(step) <= 4 or (np.diff(step[3:]) <= 1e-12).all():
-            trend_ok += 1
+        # the product start alone, without the identity seed, closes the gap too
+        _, report = c.cgw_solve(nx, ny, dataclasses.replace(cfg, extra_inits=[]))
+        if report.frobenius_gap < 1e-6:
+            unseeded_ok += 1
     assert gap_ok == 20
-    assert trend_ok >= 18
+    assert unseeded_ok == 20
 
 
 # ------------------------------------------- 9: squares classification

@@ -59,6 +59,18 @@ def test_ccot_accepts_networks_and_writes_output(tmp_path, net_files, capsys,
     assert json.loads(out_file.read_text())["distance"] >= 0
 
 
+def test_cgw_trace_holds_objective_trace_and_final_gap(tmp_path, net_files, capsys,
+                                                      monkeypatch):
+    code, out, _ = _run_in(tmp_path, ["cgw", *net_files, "--trace", "t.json"],
+                           capsys, monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    trace = json.loads((tmp_path / "t.json").read_text())
+    assert set(trace) == {"objective_trace", "frobenius_gap"}
+    assert len(trace["objective_trace"]) == payload["iterations"] + 1
+    assert trace["frobenius_gap"] == payload["frobenius_gap"]
+
+
 def test_gw2_cot_uot_commands(tmp_path, net_files, capsys, monkeypatch):
     for cmd in ("gw2", "cot", "uot-bound"):
         code, out, _ = _run_in(tmp_path, [cmd, *net_files], capsys, monkeypatch)
@@ -190,14 +202,15 @@ def test_classify_command(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_command(tmp_path, capsys, monkeypatch):
-    # seed chosen so the sparse image sampling keeps positive mass at n=30
     code, out, _ = _run_in(tmp_path, ["bench", "--sizes", "30",
                                       "--max-iters", "5", "--seed", "1"],
                            capsys, monkeypatch)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "size,iters,seconds,distance"
-    assert lines[1].startswith("30,")
+    size, iters, _, distance = lines[1].split(",")
+    # a real solve: more than one sweep, to a positive distance
+    assert size == "30" and int(iters) > 1 and float(distance) > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -173,8 +173,37 @@ def test_self_distance_zero_with_identity_seed(rng):
     cfg = SolverConfig(kernel=make_kernel("exp", 0.5), extra_inits=[seed])
     dist, report = cgw_solve(net, net, cfg)
     assert dist <= 1e-6
-    assert report.frobenius_gap_trace[-1] <= 1e-12
+    assert report.frobenius_gap <= 1e-12
     assert isinstance(report.equality_certified, bool)
+
+
+def test_frobenius_gap_is_the_returned_quadruple_gap(rng):
+    hx = random_hypernetwork(rng, 3, 3)
+    hy = random_hypernetwork(rng, 4, 4)
+    _, quad, report = bca_solve(hx, hy, SolverConfig(kernel=make_kernel("exp", 0.5),
+                                                      max_iters=20))
+    assert report.frobenius_gap == float(((quad.A - quad.Ap) ** 2).sum()
+                                         + ((quad.B - quad.Bp) ** 2).sum())
+    assert report.to_json_dict()["frobenius_gap"] == report.frobenius_gap
+    # the sample pair (3 x 4) and the feature pair (4 x 5) cannot be compared
+    hx = random_hypernetwork(rng, 3, 4)
+    hy = random_hypernetwork(rng, 4, 5)
+    _, _, report = bca_solve(hx, hy, SolverConfig(kernel=make_kernel("exp", 0.5),
+                                                  max_iters=20))
+    assert report.frobenius_gap is None
+    assert "frobenius_gap" not in report.to_json_dict()
+
+
+def test_no_certificate_from_an_unswept_jittered_start(rng):
+    # with no sweep the winning restart is a jittered start whose pairs differ;
+    # only the measured gap, not the PD check, may refuse the certificate
+    nx, ny = random_network(rng, 2), random_network(rng, 2)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), max_iters=0, restarts=4)
+    _, report = cgw_solve(nx, ny, cfg)
+    assert report.best_restart > 0
+    assert report.pd_min_eigenvalue >= -1e-9
+    assert report.equality_certified is False
+    assert report.frobenius_gap > 1e-3
 
 
 def test_report_fields(rng):
