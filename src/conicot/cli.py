@@ -181,7 +181,7 @@ def _hash_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(args, argv, t0):
+def _write_manifest(args, argv, t0, restarts=None):
     inputs = list(getattr(args, "inputs", []) or [])
     for extra in ("features", "labels"):
         v = getattr(args, extra, None)
@@ -197,6 +197,8 @@ def _write_manifest(args, argv, t0):
         "input_hashes": {p: _hash_file(p) for p in inputs if os.path.exists(p)},
         "wall_time": time.perf_counter() - t0,
     }
+    if restarts is not None:  # each restart's outcome, for the solve commands
+        manifest["restarts"] = restarts
     out_dir = os.path.dirname(args.output) if args.output else "."
     path = os.path.join(out_dir or ".", "run_manifest.json")
     with open(path, "w") as f:
@@ -245,7 +247,7 @@ def bench_runner(sizes, args):
     The sampled pixels' kNN adjacency carries uniform node weights: most
     sampled pixels are dark, and intensity weights would leave about one live
     node, a problem solved at distance 0 in one sweep."""
-    rows = ["size,iters,seconds,distance"]
+    rows = ["size,iters,stop,seconds,distance"]
     for n in sizes:
         imgs = gen_squares(2, g=4, side=3, image_size=32, seed=args.seed)
         na, nb = (validate_network(np.full(n, 1.0 / n),
@@ -255,13 +257,15 @@ def bench_runner(sizes, args):
         cfg = _config(args, restarts=1,
                       policy=TensorPolicy(max_dense_bytes=16 * n * n))
         dist, report = cgw_solve(na, nb, cfg)
-        rows.append(f"{n},{report.iterations},{report.wall_time:.3f},{dist:.9f}")
+        stop = report.restarts[report.best_restart]["stop"]
+        rows.append(f"{n},{report.iterations},{stop},{report.wall_time:.3f},{dist:.9f}")
     return "\n".join(rows)
 
 
 def run_command(argv) -> int:
     t0 = time.perf_counter()
     args = build_parser().parse_args(argv)
+    restarts = None
     try:
         if args.command in ("ccot", "cgw"):
             if args.command == "cgw":
@@ -272,6 +276,7 @@ def run_command(argv) -> int:
                 dist, _, report = bca_solve(hx, hy, _config(args))
             _write_trace(args, report)
             _emit(args, report.to_json_dict())
+            restarts = report.restarts
         elif args.command == "gw2":
             nets = _load_networks(args.inputs)
             value, _ = gw2_solve(nets[0], nets[1],
@@ -354,7 +359,7 @@ def run_command(argv) -> int:
             if args.output:
                 with open(args.output, "w") as f:
                     f.write(csv + "\n")
-        _write_manifest(args, list(argv), t0)
+        _write_manifest(args, list(argv), t0, restarts)
         return 0
     except ConicotError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

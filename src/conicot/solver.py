@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import types
 
 import numpy as np
 
 from .cone import ConeKernel, _ccot_d2
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
 from .errors import DimensionMismatch, NegativeSquaredDistance
-from .tensor import (PD_CHECK_CAP, DistortionTensor, Side, TensorPolicy, build_tensor,
-                     contract, kernel_pd_check)
+from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorPolicy,
+                     build_tensor, contract, kernel_pd_check)
 
 
 @dataclasses.dataclass
@@ -78,6 +79,9 @@ class SolverReport:
     equality_certified: bool | None = None
     pd_min_eigenvalue: float | None = None
     best_restart: int = 0
+    # one {"objective", "sweeps", "stop"} per start, in restart order; stop
+    # is "rel_tol" or "max_iters"
+    restarts: list = dataclasses.field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -89,6 +93,7 @@ class SolverReport:
             "wall_time": self.wall_time,
             "config": self.config,
             "best_restart": self.best_restart,
+            "restarts": self.restarts,
         }
         if self.frobenius_gap is not None:
             d["frobenius_gap"] = self.frobenius_gap
@@ -145,12 +150,14 @@ def init_interior(marginals, tensor: DistortionTensor,
 def _tight(W, target, axis):
     """Rescale W so its row (axis=1) or column (axis=0) sums equal target.
 
-    A line whose sum vanishes stays zero. This is the one closed-form step of
-    the block ascent: every block update, projection and UOT step ends here.
+    A line whose sum vanishes stays zero. The lines are those of W's last two
+    axes, so a stack of matrices is rescaled one slice at a time. This is the
+    one closed-form step of the block ascent: every block update, projection
+    and UOT step ends here.
     """
-    s = W.sum(axis=axis)
+    s = W.sum(axis=axis - 2)
     r = np.divide(target, s, out=np.zeros_like(s), where=s > 0)
-    return W * (r[:, None] if axis == 1 else r)
+    return W * (r[..., None] if axis == 1 else r[..., None, :])
 
 
 def project_to_gamma_bar(
@@ -179,34 +186,104 @@ def update_block(partner, K, row_target, col_target):
     contraction (P for the pair (A, B), Q for (A', B')). A, the maximizer over
     A given B = partner, is partner weighted by K^2 and made tight to
     row_target; B, the maximizer given that new A, is A weighted by K^2 and
-    made tight to col_target. Returns (A, B).
+    made tight to col_target. Returns (A, B); partner and K may carry a
+    leading stack axis.
     """
     A = _tight(partner * K * K, row_target, 1)
     return A, _tight(A * K * K, col_target, 0)
 
 
-def _run_single(tensor, marginals, quad, config):
-    """Cyclic sweeps from a feasible initial quadruple. Returns best state."""
+def _totals(X):
+    """The sum of each slice of a stack."""
+    return X.reshape(len(X), -1).sum(axis=1)
+
+
+def _ascend(state, F, sweep, max_iters, rel_tol):
+    """Sweep a stack of restarts until each one stops.
+
+    state holds arrays with a leading restart axis as attributes and F the
+    restarts' objectives; sweep(state) rebinds the attributes to the next
+    iterate and returns its objectives. A restart stops at "rel_tol" once a
+    sweep changes its objective by at most rel_tol * max(1, |F|), else at
+    "max_iters". A restart that stops while others go on has its arrays
+    copied out, and the stack is compacted then. Returns one
+    (state, objective trace, stop) per restart, in stack order.
+    """
+    traces = [[f] for f in F.tolist()]
+    out = [None] * len(traces)
+    live = np.arange(len(traces))
+
+    def leave(done, stop):
+        nonlocal live
+        rest = ~done
+        copy = rest.any()  # restarts that leave last keep views of the stack
+        arrays = vars(state)
+        for pos in np.flatnonzero(done):
+            own = {k: X[pos].copy() if copy else X[pos] for k, X in arrays.items()}
+            out[live[pos]] = (type(state)(**own), traces[live[pos]], stop)
+        for k, X in arrays.items():
+            setattr(state, k, X[rest])
+        live = live[rest]
+        return rest
+
+    for _ in range(max_iters):
+        F_new = sweep(state)
+        for k, f in zip(live.tolist(), F_new.tolist()):
+            traces[k].append(f)
+        done = np.abs(F_new - F) <= rel_tol * np.maximum(1.0, np.abs(F))
+        F = F_new[leave(done, "rel_tol")] if done.any() else F_new
+        if not live.size:
+            return out
+    leave(np.ones(live.size, dtype=bool), "max_iters")
+    return out
+
+
+def _inits(marginals, tensor, config):
+    """Every restart's start: the product one, config.restarts - 1 jittered
+    ones, then the projected config.extra_inits."""
+    rng = np.random.default_rng(config.seed)
+    inits = [init_interior(marginals, tensor)]
+    for _ in range(config.restarts - 1):
+        inits.append(init_interior(marginals, tensor, jitter_rng=rng))
+    for extra in config.extra_inits:
+        inits.append(project_to_gamma_bar(extra, tensor, marginals))
+    return inits
+
+
+def _stack(starts):
+    """The starts' blocks A, B, A', B' with a leading restart axis.
+
+    A lone start is its own stack: a copy would hold a large start twice at
+    the memory peak. Stacks of more starts are cache-sized.
+    """
+    blocks = {name: [getattr(q, name) for q in starts] for name in ("A", "B", "Ap", "Bp")}
+    return types.SimpleNamespace(
+        **{name: np.stack(b) if len(b) > 1 else b[0][None] for name, b in blocks.items()})
+
+
+def _run_stack(tensor, marginals, starts, size, config):
+    """Cyclic sweeps of the first `size` starts as one stack.
+
+    The starts are taken out of the list, so it holds none of them through
+    the ascent. Returns one (quadruple, objective trace, stop) per start, in
+    order.
+    """
     a, b, ap, bp = marginals
-    F_prev = objective_F(quad, tensor)
-    trace = [F_prev]
-    converged = False
-    it = 0
-    Mp = np.sqrt(quad.Ap * quad.Bp)
-    for it in range(1, config.max_iters + 1):
+    s = _stack([starts.pop(0) for _ in range(min(size, len(starts)))])
+    s.Mp = np.sqrt(s.Ap * s.Bp)
+    F = _totals(np.sqrt(s.A * s.B) * contract(tensor, Side.SampleSide, s.Mp))
+
+    def sweep(s):
         # P is passed inline: holding it to the end of the sweep as well as
         # Mp would keep one more n x m array alive at the memory peak
-        quad.A, quad.B = update_block(quad.B, contract(tensor, Side.SampleSide, Mp), a, b)
-        Q = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-        quad.Ap, quad.Bp = update_block(quad.Bp, Q, ap, bp)
-        Mp = np.sqrt(quad.Ap * quad.Bp)
-        F = float((Mp * Q).sum())
-        trace.append(F)
-        if abs(F - F_prev) <= config.rel_tol * max(1.0, abs(F_prev)):
-            converged = True
-            break
-        F_prev = F
-    return quad, trace, converged, it
+        s.A, s.B = update_block(s.B, contract(tensor, Side.SampleSide, s.Mp), a, b)
+        Q = contract(tensor, Side.FeatureSide, np.sqrt(s.A * s.B))
+        s.Ap, s.Bp = update_block(s.Bp, Q, ap, bp)
+        s.Mp = np.sqrt(s.Ap * s.Bp)
+        return _totals(s.Mp * Q)
+
+    return [(SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
+            for r, trace, stop in _ascend(s, F, sweep, config.max_iters, config.rel_tol)]
 
 
 def bca_solve(
@@ -217,6 +294,11 @@ def bca_solve(
 ):
     """CCOT distance between two hypernetworks by multi-restart block ascent.
 
+    The restarts sweep in stacks of as many as fit _BLOCK_ENTRIES entries
+    per block, so small problems share each numpy call among their restarts
+    and large ones run one restart at a time. The best restart is the first
+    with the largest final objective.
+
     Returns (distance, best SemiCouplingQuadruple, SolverReport).
     """
     t0 = time.perf_counter()
@@ -225,23 +307,19 @@ def bca_solve(
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
-    rng = np.random.default_rng(config.seed)
+    n, np_, m, mp = tensor.dims
+    per_stack = max(1, _BLOCK_ENTRIES // max(n * m, np_ * mp, 1))
+    starts = _inits(marginals, tensor, config)
 
-    inits = [init_interior(marginals, tensor)]
-    for _ in range(max(0, config.restarts - 1)):
-        inits.append(init_interior(marginals, tensor, jitter_rng=rng))
-    for extra in config.extra_inits:
-        inits.append(project_to_gamma_bar(extra, tensor, marginals))
+    restarts, best = [], None
+    while starts:
+        for quad, trace, stop in _run_stack(tensor, marginals, starts, per_stack, config):
+            restarts.append({"objective": trace[-1], "sweeps": len(trace) - 1, "stop": stop})
+            if best is None or trace[-1] > best[1][-1]:
+                idx, best = len(restarts) - 1, (quad, trace, stop)
 
-    best = None
-    for idx, quad in enumerate(inits):
-        quad, trace, converged, iters = _run_single(tensor, marginals, quad, config)
-        F = trace[-1]
-        if best is None or F > best[0]:
-            best = (F, idx, quad, trace, converged, iters)
-
-    F_star, idx, quad, trace, converged, iters = best
-    distance = ccot_distance_from_objective(F_star, masses, config.kernel.delta)
+    quad, trace, stop = best
+    distance = ccot_distance_from_objective(trace[-1], masses, config.kernel.delta)
     M = np.sqrt(quad.A * quad.B)
     Mp = np.sqrt(quad.Ap * quad.Bp)
     qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
@@ -251,13 +329,14 @@ def bca_solve(
     report = SolverReport(
         objective_trace=trace,
         distance=distance,
-        iterations=iters,
-        converged=converged,
+        iterations=len(trace) - 1,
+        converged=stop == "rel_tol",
         quantization_uncertainty=qunc,
         wall_time=time.perf_counter() - t0,
         config=config.echo(),
         frobenius_gap=gap,
         best_restart=idx,
+        restarts=restarts,
     )
     return distance, quad, report
 

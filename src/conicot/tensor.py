@@ -132,7 +132,8 @@ def _quantize(values: np.ndarray, q: int):
     return centers, ids, width / 2.0
 
 
-# entries per gap buffer of a dense build block: 512 KiB, so it stays in cache
+# entries of a cache-sized working block (512 KiB): the gap buffer of a dense
+# build block, and the solver's restart stack (entries of its larger block)
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -321,22 +322,36 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
 
     SampleSide: M is n' x m', returns P (n x m) with P_ik = Sigma_jl T_ijkl M_jl.
     FeatureSide: M is n x m, returns Q (n' x m') with Q_jl = Sigma_ik T_ijkl M_ik.
+    M may carry a leading stack axis, and the result then carries it too.
+    Dense, a stack is one matrix product (a stack of one stays a
+    matrix-vector product); factored, each slice is contracted on its own.
     """
     n, np_, m, mp = tensor.dims
     M = np.asarray(M, dtype=np.float64)
-    want = (np_, mp) if side is Side.SampleSide else (n, m)
-    if M.shape != want:
-        raise DimensionMismatch(f"expected {want}, got {M.shape}")
+    want, shape = ((np_, mp), (n, m)) if side is Side.SampleSide else ((n, m), (np_, mp))
+    if M.shape[-2:] != want or M.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected {want} or a stack of it, got {M.shape}")
+    flat = M.reshape(-1, want[0] * want[1])  # one row per slice
 
-    if tensor.mode is TensorMode.Dense:
-        if side is Side.SampleSide:
-            return (tensor.matrix @ M.ravel()).reshape(n, m)
-        return (M.ravel() @ tensor.matrix).reshape(np_, mp)
+    if tensor.mode is TensorMode.Factored:
+        out = [_contract_factored(tensor, side, v.reshape(want)) for v in flat]
+        out = out[0] if len(out) == 1 else np.stack(out)
+    elif len(flat) == 1:
+        out = tensor.matrix @ flat[0] if side is Side.SampleSide else flat[0] @ tensor.matrix
+    else:
+        out = flat @ (tensor.matrix.T if side is Side.SampleSide else tensor.matrix)
+    return out.reshape(M.shape[:-2] + shape)
 
-    # factored path: one batched product per chunk of non-background y-bins
-    # (one chunk when stored), then two rank-one terms and the background
-    # constant. Both sides are accumulated transposed, so the factor layouts
-    # make every reshape free and the sparse Ys multiplies from the left.
+
+def _contract_factored(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
+    """contract of one matrix M in factored mode.
+
+    One batched product per chunk of non-background y-bins (one chunk when
+    stored), then two rank-one terms and the background constant. Both sides
+    are accumulated transposed, so the factor layouts make every reshape free
+    and the sparse Ys multiplies from the left.
+    """
+    n, np_, m, mp = tensor.dims
     a, b = tensor.background
     factors = tensor.factors
     if factors is None:

@@ -9,12 +9,14 @@ to solve with the solver's closed-form step and distance formula.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
-from .solver import _product_pair, _tight, ccot_distance_from_objective, update_block
+from .solver import (_ascend, _product_pair, _tight, _totals, ccot_distance_from_objective,
+                     update_block)
 
 COALESCE_TOL = 1e-12  # sorted kernel values this close to the previous share its atom
 REL_TOL = 1e-12  # relative objective change at which uot_solve stops
@@ -61,35 +63,23 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
     live = W > 0
 
-    def prepare(A, B):
-        return _tight(A * live, m, 1), _tight(B * live, n, 0)
-
-    inits = [prepare(*_product_pair(m, n))]
-    # monotone (northwest-corner) alignment of the sorted atoms; exact for
-    # identical distributions, a strong start whenever supports overlap
+    # the product start, then the monotone (northwest-corner) alignment of
+    # the sorted atoms: exact for identical distributions, a strong start
+    # whenever supports overlap; both sweep as one stack
+    A, B = _product_pair(m, n)
     pi = _monotone_plan(m, n)
     scale = n.sum() / max(m.sum(), 1e-300)
-    inits.append(prepare(pi, pi * scale))
+    s = types.SimpleNamespace(A=_tight(np.stack((A, pi)) * live, m, 1),
+                              B=_tight(np.stack((B, pi * scale)) * live, n, 0))
 
-    best = None
-    for A, B in inits:
-        obj = float((W * np.sqrt(A * B)).sum())
-        trace = [obj]
-        converged = False
-        it = 0
-        for it in range(1, max_iters + 1):
-            A, B = update_block(B, W, m, n)
-            new_obj = float((W * np.sqrt(A * B)).sum())
-            trace.append(new_obj)
-            converged = abs(new_obj - obj) <= REL_TOL * max(1.0, abs(obj))
-            obj = new_obj
-            if converged:
-                break
-        if best is None or obj > best[0]:
-            best = (obj, trace, it, converged)
-    obj, trace, it, converged = best
-    value = ccot_distance_from_objective(obj, (m.sum(), 1.0, n.sum(), 1.0), kernel.delta)
-    return UotReport(value, obj, it, converged, trace)
+    def sweep(s):
+        s.A, s.B = update_block(s.B, W, m, n)
+        return _totals(W * np.sqrt(s.A * s.B))
+
+    runs = _ascend(s, _totals(W * np.sqrt(s.A * s.B)), sweep, max_iters, REL_TOL)
+    _, trace, stop = max(runs, key=lambda run: run[1][-1])  # the first best
+    value = ccot_distance_from_objective(trace[-1], (m.sum(), 1.0, n.sum(), 1.0), kernel.delta)
+    return UotReport(value, trace[-1], len(trace) - 1, stop == "rel_tol", trace)
 
 
 def _monotone_plan(m, n):

@@ -40,6 +40,8 @@ def test_cgw_command(tmp_path, net_files, capsys, monkeypatch):
     assert manifest["seed"] == 3
     assert len(manifest["input_hashes"]) == 2
     assert "wall_time" in manifest
+    assert manifest["restarts"] == payload["restarts"]
+    assert len(payload["restarts"]) == payload["config"]["restarts"]
 
 
 def test_cgw_deterministic(tmp_path, net_files, capsys, monkeypatch):
@@ -207,10 +209,12 @@ def test_bench_command(tmp_path, capsys, monkeypatch):
                            capsys, monkeypatch)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "size,iters,seconds,distance"
-    size, iters, _, distance = lines[1].split(",")
+    assert lines[0] == "size,iters,stop,seconds,distance"
+    size, iters, stop, _, distance = lines[1].split(",")
     # a real solve: more than one sweep, to a positive distance
     assert size == "30" and int(iters) > 1 and float(distance) > 0
+    # five sweeps do not reach the tolerance, and the row says so
+    assert iters == "5" and stop == "max_iters"
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,9 +12,11 @@ from conicot import (
     objective_F,
     validate_network,
 )
+from conicot import solver
 from conicot.errors import DimensionMismatch, NegativeSquaredDistance
 from conicot.solver import init_interior, project_to_gamma_bar, update_block
-from conicot.tensor import Side, build_tensor, contract
+from conicot.tensor import Side, TensorPolicy, build_tensor, contract
+from tests.test_tensor import _knn_adjacency
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -277,3 +279,91 @@ def test_restarts_deterministic(rng):
     d1, _ = cgw_solve(nx, ny, cfg)
     d2, _ = cgw_solve(nx, ny, cfg)
     assert d1 == d2
+
+
+def test_report_restarts_outcome(rng):
+    nx, ny = random_network(rng, 4), random_network(rng, 5)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=3, max_iters=60)
+    _, report = cgw_solve(nx, ny, cfg)
+    assert len(report.restarts) == cfg.restarts
+    for r in report.restarts:
+        assert set(r) == {"objective", "sweeps", "stop"}
+        assert r["stop"] in ("rel_tol", "max_iters")
+        assert r["stop"] == "rel_tol" or r["sweeps"] == cfg.max_iters
+    best = report.restarts[report.best_restart]
+    assert best["objective"] == report.objective_trace[-1]
+    assert best["sweeps"] == report.iterations
+    assert (best["stop"] == "rel_tol") == report.converged
+    # the best restart is the first with the largest final objective
+    objectives = [r["objective"] for r in report.restarts]
+    assert report.best_restart == objectives.index(max(objectives))
+    assert report.to_json_dict()["restarts"] == report.restarts
+
+
+def test_update_block_on_a_stack_steps_each_slice(rng):
+    _, _, tensor, marginals, _, quad = _setup(rng)
+    a, b = marginals[:2]
+    K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
+    partners = np.stack([quad.B * rng.uniform(0.5, 1.5, quad.B.shape) for _ in range(3)])
+    A, B = update_block(partners, K, a, b)
+    for s in range(3):
+        As, Bs = update_block(partners[s], K, a, b)
+        assert np.array_equal(A[s], As) and np.array_equal(B[s], Bs)
+
+
+def _alone(hx, hy, tensor, config):
+    """(objective, sweeps, stop) of each start of a solve swept in a stack of its own."""
+    marginals = (hx.sample_weights, hy.sample_weights,
+                 hx.feature_weights, hy.feature_weights)
+    out = []
+    for start in solver._inits(marginals, tensor, config):
+        (_, trace, stop), = solver._run_stack(tensor, marginals, [start], 1, config)
+        out.append((trace[-1], len(trace) - 1, stop))
+    return out
+
+
+def _assert_stack_matches_alone(nx, ny, config, monkeypatch):
+    """Solve once stacked, then each start alone; returns the stack heights."""
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    tensor = build_tensor(hx, hy, config.kernel, config.tensor_policy)
+    heights = []
+
+    def recording(t, side, M):
+        if np.ndim(M) == 3 and side is Side.SampleSide:
+            heights.append(len(M))
+        return contract(t, side, M)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "contract", recording)
+        _, _, report = bca_solve(hx, hy, config, tensor=tensor)
+    alone = _alone(hx, hy, tensor, config)
+    assert len(report.restarts) == len(alone)
+    for r, (objective, sweeps, stop) in zip(report.restarts, alone):
+        assert (r["sweeps"], r["stop"]) == (sweeps, stop)
+        assert abs(r["objective"] - objective) <= 1e-12 * abs(objective)
+    return report, heights
+
+
+def test_stacked_restarts_match_each_restart_alone(monkeypatch):
+    # one dense stack of five: three starts stop after about 35 sweeps while
+    # the others sweep on, one to rel_tol and one to the cap
+    rng = np.random.default_rng(0)
+    nx, ny = random_network(rng, 5), random_network(rng, 5)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=5, max_iters=100)
+    report, heights = _assert_stack_matches_alone(nx, ny, cfg, monkeypatch)
+    assert max(heights) == 5
+    sweeps = [r["sweeps"] for r in report.restarts]
+    stops = [r["stop"] for r in report.restarts]
+    assert min(sweeps) < 50 and "rel_tol" in stops and "max_iters" in stops
+
+
+def test_restarts_span_several_stacks(monkeypatch):
+    # a factored 150-node kNN pair: 22,500 entries of A, so two per stack
+    rng = np.random.default_rng(1)
+    nx, ny = (validate_network(rng.uniform(0.5, 1.5, 150), _knn_adjacency(rng, 150, 4))
+              for _ in range(2))
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=5, max_iters=3,
+                       tensor_policy=TensorPolicy(max_dense_bytes=16 * 150 * 150))
+    assert solver._BLOCK_ENTRIES // (150 * 150) == 2
+    _, heights = _assert_stack_matches_alone(nx, ny, cfg, monkeypatch)
+    assert heights[0] == 2 and heights[-1] == 1

@@ -338,3 +338,44 @@ def test_kernel_pd_check_is_solver_tensor_spectrum(rng, name, n, m):
                      embed_network_as_hypernetwork(ny), k).matrix
     expected = float(np.linalg.eigvalsh(0.5 * (T + T.T))[0])
     assert kernel_pd_check(k, nx.kernel, ny.kernel) == expected
+
+
+def _stack_case(rng, case):
+    """A tensor of each contraction path: dense, or factored with ndarray
+    factors, CSR factors, or factors built per call in chunks."""
+    if case == "dense":
+        return build_tensor(random_hypernetwork(rng, 4, 3), random_hypernetwork(rng, 5, 2),
+                            make_kernel("exp", 0.5))
+    if case == "ndarray":
+        t = build_tensor(random_hypernetwork(rng, 20, 10), random_hypernetwork(rng, 15, 14),
+                         make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=300_000))
+        assert not any(sparse.issparse(f) for f in t.factors[0])
+        return t
+    if case == "csr":
+        hx = _hyper(rng, (rng.uniform(size=(40, 30)) < 0.04).astype(float))
+        t = build_tensor(hx, random_hypernetwork(rng, 40, 30), make_kernel("exp", 0.5),
+                         TensorPolicy(max_dense_bytes=1 << 20))
+        assert all(sparse.issparse(f) for f in t.factors[0])
+        return t
+    t = build_tensor(random_hypernetwork(rng, 6, 5), random_hypernetwork(rng, 7, 4),
+                     make_kernel("cos", 0.6), TensorPolicy(max_dense_bytes=2048))
+    assert t.factors is None and len(t.bin_chunks) > 1
+    return t
+
+
+@pytest.mark.parametrize("case", ["dense", "ndarray", "csr", "chunked"])
+@pytest.mark.parametrize("side", [Side.SampleSide, Side.FeatureSide])
+def test_contract_stack_equals_per_slice_calls(rng, case, side):
+    t = _stack_case(rng, case)
+    n, np_, m, mp = t.dims
+    shape = (np_, mp) if side is Side.SampleSide else (n, m)
+    M = rng.uniform(size=(3,) + shape)
+    got = contract(t, side, M)
+    for s in range(3):
+        ref = contract(t, side, M[s])
+        assert got[s].shape == ref.shape
+        assert np.abs(got[s] - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a stack of one is the 2-D call itself
+    assert np.array_equal(contract(t, side, M[:1])[0], contract(t, side, M[0]))
+    with pytest.raises(DimensionMismatch):
+        contract(t, side, M[None])

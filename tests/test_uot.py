@@ -13,6 +13,8 @@ from conicot import (
     validate_hypernetwork,
     validate_network,
 )
+from conicot.cone import omega_of_gap
+from conicot.solver import _product_pair, _tight, update_block
 from conicot.uot import COALESCE_TOL, REL_TOL, _monotone_plan
 from tests.conftest import random_network
 
@@ -171,3 +173,31 @@ def test_uot_equals_one_feature_ccot(rng, name):
                            extra_inits=[seed])
         ccot, _, _ = bca_solve(hx, hy, cfg)
         assert uot_solve(mu, nu, k).value == pytest.approx(ccot, rel=1e-12)
+
+
+def _uot_per_start(mu, nu, kernel, max_iters):
+    """uot_solve's objective trace with each start swept on its own."""
+    m, n = mu.masses, nu.masses
+    W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
+    pi = _monotone_plan(m, n)
+    best = None
+    for A, B in (_product_pair(m, n), (pi, pi * (n.sum() / m.sum()))):
+        A, B = _tight(A * (W > 0), m, 1), _tight(B * (W > 0), n, 0)
+        trace = [float((W * np.sqrt(A * B)).sum())]
+        for _ in range(max_iters):
+            A, B = update_block(B, W, m, n)
+            trace.append(float((W * np.sqrt(A * B)).sum()))
+            if abs(trace[-1] - trace[-2]) <= REL_TOL * max(1.0, abs(trace[-2])):
+                break
+        if best is None or trace[-1] > best[-1]:
+            best = trace
+    return best
+
+
+@pytest.mark.parametrize("max_iters", [5, 1000])
+def test_uot_stack_equals_each_start_swept_alone(rng, max_iters):
+    # the two starts share a stack but none of their arithmetic
+    for _ in range(3):
+        mu, nu = (pushforward_value_distribution(random_network(rng, 5)) for _ in range(2))
+        rep = uot_solve(mu, nu, make_kernel("exp", 0.5), max_iters=max_iters)
+        assert rep.objective_trace == _uot_per_start(mu, nu, make_kernel("exp", 0.5), max_iters)
