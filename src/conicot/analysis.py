@@ -30,6 +30,7 @@ from .baselines import BaselineConfig, gw2_solve
 from .cone import ConeKernel, _ccot_d2, kernel_constants
 from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_measure,
                    tv_gap, validate_network)
+from .data import perturb_measure
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,
@@ -247,8 +248,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
     rng = np.random.default_rng(config.seed)
     results = []
     for t in range(trials):
-        eta = rng.uniform(-eps, eps, size=net.n)
-        perturbed = validate_network(net.weights * (1.0 + eta), net.kernel)
+        perturbed = perturb_measure(net, eps, rng)
         seed = _diag_quad(net.weights, perturbed.weights)
         dist, _ = cgw_solve(net, perturbed, _with(config, extra_inits=[seed]))
         results.append({
@@ -269,10 +269,8 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
         "pass": bool(all(r["pass"] for r in results)),
     }
     if ny is not None:
-        eta_x = rng.uniform(-eps, eps, size=net.n)
-        eta_y = rng.uniform(-eps, eps, size=ny.n)
-        nxp = validate_network(net.weights * (1.0 + eta_x), net.kernel)
-        nyp = validate_network(ny.weights * (1.0 + eta_y), ny.kernel)
+        nxp = perturb_measure(net, eps, rng)
+        nyp = perturb_measure(ny, eps, rng)
         d0, _ = cgw_solve(net, ny, config)
         d1, _ = cgw_solve(nxp, nyp, config)
         pair_bound = _envelope(delta, net.mass + ny.mass, eps)

@@ -105,9 +105,9 @@ def sinkhorn(a, b, cost, reg: float, iters: int = 500):
     pi = np.outer(a, b)
     for _ in range(iters):
         Mf = (-cost + g[None, :]) / reg
-        f = np.where(a > 0, reg * (loga - _logsumexp_rows(Mf)), 0.0)
+        f = np.where(a > 0, reg * (loga - _logsumexp(Mf, 1)), 0.0)
         Mg = (-cost + f[:, None]) / reg
-        g = np.where(b > 0, reg * (logb - _logsumexp_cols(Mg)), 0.0)
+        g = np.where(b > 0, reg * (logb - _logsumexp(Mg, 0)), 0.0)
         pi = np.exp((f[:, None] + g[None, :] - cost) / reg) * np.outer(a > 0, b > 0)
         err = np.abs(pi.sum(axis=1) - a).sum() + np.abs(pi.sum(axis=0) - b).sum()
         if err < 1e-10:
@@ -117,14 +117,9 @@ def sinkhorn(a, b, cost, reg: float, iters: int = 500):
     return Coupling(pi, a, b), float((pi * cost).sum()), converged
 
 
-def _logsumexp_rows(M):
-    mx = M.max(axis=1)
-    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
-
-
-def _logsumexp_cols(M):
-    mx = M.max(axis=0)
-    return mx + np.log(np.exp(M - mx[None, :]).sum(axis=0))
+def _logsumexp(M, axis):
+    mx = M.max(axis=axis, keepdims=True)
+    return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
 
 
 def _gw_linear_term(wx, wy, pi):

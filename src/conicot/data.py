@@ -19,10 +19,11 @@ from .errors import (
 )
 
 SAMPLE_DRAWS = 1000  # pixel draws image_to_network makes before it gives up
+PLACEMENT_TRIES = 1000  # square placements gen_squares tries per image before it gives up
 
 
 def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
-                seed: int = 0, retry_cap: int = 1000):
+                seed: int = 0):
     """Grayscale images containing g non-overlapping bright squares.
 
     Each square has side length `side`, an i.i.d. uniform(0,1) brightness,
@@ -37,7 +38,7 @@ def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
         placed = 0
         tries = 0
         while placed < g:
-            if tries > retry_cap:
+            if tries > PLACEMENT_TRIES:
                 raise PlacementFailure(
                     f"could not place {g} side-{side} squares in {image_size}^2"
                 )
@@ -211,8 +212,10 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
     return float(np.mean(errors)), float(np.std(errors))
 
 
-def perturb_measure(net: DiscreteMeasureNetwork, eps: float, seed: int = 0) -> DiscreteMeasureNetwork:
-    """Multiplicative measure perturbation: weights scaled by 1 + uniform(-eps, eps)."""
+def perturb_measure(net: DiscreteMeasureNetwork, eps: float, seed=0) -> DiscreteMeasureNetwork:
+    """Multiplicative measure perturbation: weights scaled by 1 + uniform(-eps, eps).
+
+    seed is an int or a numpy Generator, which is drawn from in place."""
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     rng = np.random.default_rng(seed)

@@ -131,22 +131,6 @@ def _product_pair(a, b):
     return A, B
 
 
-def init_interior(marginals, tensor: DistortionTensor,
-                  jitter_rng=None) -> SemiCouplingQuadruple:
-    """Product (or jittered product) initialization, projected to Gamma-bar.
-
-    All zero when every Omega slice sum vanishes: the ascent then stops at F = 0.
-    """
-    a, b, ap, bp = (np.asarray(v, dtype=np.float64) for v in marginals)
-    A, B = _product_pair(a, b)
-    Ap, Bp = _product_pair(ap, bp)
-    quad = SemiCouplingQuadruple(A, B, Ap, Bp)
-    if jitter_rng is not None:
-        for M in (quad.A, quad.B, quad.Ap, quad.Bp):
-            M *= 1.0 + jitter_rng.uniform(-0.1, 0.1, size=M.shape)
-    return project_to_gamma_bar(quad, tensor, (a, b, ap, bp))
-
-
 def _tight(W, target, axis):
     """Rescale W so its row (axis=1) or column (axis=0) sums equal target.
 
@@ -160,23 +144,24 @@ def _tight(W, target, axis):
     return W * (r[..., None] if axis == 1 else r[..., None, :])
 
 
-def project_to_gamma_bar(
-    quad: SemiCouplingQuadruple, tensor: DistortionTensor, marginals
-) -> SemiCouplingQuadruple:
-    """Zero entries on vanishing Omega slices, then rescale marginal sums tight.
+def _project_pair(A, B, live, row_target, col_target):
+    """Zero a semi-coupling pair off the mask live, then make it tight: rows
+    of A to row_target, columns of B to col_target. A and B may carry a
+    leading stack axis."""
+    return _tight(A * live, row_target, 1), _tight(B * live, col_target, 0)
+
+
+def project_to_gamma_bar(quad: SemiCouplingQuadruple, live, marginals) -> SemiCouplingQuadruple:
+    """Zero entries off live, the (n x m, n' x m') masks of nonvanishing Omega
+    slice sums, then rescale marginal sums tight.
 
     Surviving rows of A are rescaled to sum to a_i, columns of B to b_k, rows
     of A' to a'_j, columns of B' to b'_l. The objective never decreases: the
     zeroed entries contribute nothing and surviving scale factors are >= 1.
     """
-    a, b, ap, bp = (np.asarray(v, dtype=np.float64) for v in marginals)
-    samp_slice, feat_slice = tensor.slice_sums()
-    live = samp_slice != 0.0
-    livep = feat_slice != 0.0
-    return SemiCouplingQuadruple(
-        _tight(quad.A * live, a, 1), _tight(quad.B * live, b, 0),
-        _tight(quad.Ap * livep, ap, 1), _tight(quad.Bp * livep, bp, 0),
-    )
+    a, b, ap, bp = marginals
+    return SemiCouplingQuadruple(*_project_pair(quad.A, quad.B, live[0], a, b),
+                                 *_project_pair(quad.Ap, quad.Bp, live[1], ap, bp))
 
 
 def update_block(partner, K, row_target, col_target):
@@ -239,15 +224,23 @@ def _ascend(state, F, sweep, max_iters, rel_tol):
 
 
 def _inits(marginals, tensor, config):
-    """Every restart's start: the product one, config.restarts - 1 jittered
-    ones, then the projected config.extra_inits."""
+    """Every restart's start, projected to Gamma-bar by Omega-slice masks
+    computed once: the product one, config.restarts - 1 jittered ones, then
+    config.extra_inits. All zero when every slice sum vanishes: the ascent
+    then stops at F = 0."""
+    a, b, ap, bp = marginals = tuple(np.asarray(v, dtype=np.float64) for v in marginals)
+    live = tuple(sums != 0.0 for sums in tensor.slice_sums())
     rng = np.random.default_rng(config.seed)
-    inits = [init_interior(marginals, tensor)]
-    for _ in range(config.restarts - 1):
-        inits.append(init_interior(marginals, tensor, jitter_rng=rng))
-    for extra in config.extra_inits:
-        inits.append(project_to_gamma_bar(extra, tensor, marginals))
-    return inits
+
+    def start(jitter):
+        blocks = _product_pair(a, b) + _product_pair(ap, bp)
+        if jitter:
+            for M in blocks:
+                M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
+        return project_to_gamma_bar(SemiCouplingQuadruple(*blocks), live, marginals)
+
+    return ([start(False)] + [start(True) for _ in range(config.restarts - 1)]
+            + [project_to_gamma_bar(extra, live, marginals) for extra in config.extra_inits])
 
 
 def _stack(starts):

@@ -176,20 +176,19 @@ def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndar
 PD_CHECK_CAP = 400
 
 
-def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y,
-                    cap: int = PD_CHECK_CAP) -> float:
+def kernel_pd_check(kernel: ConeKernel, omega_X, omega_Y) -> float:
     """Smallest eigenvalue of the (nm x nm) similarity matrix between kernel entries.
 
     K[(i,k),(i',k')] = Omega(|omega_X(i,i') - omega_Y(k,k')| / 2 delta) is the
     dense distortion tensor of the embedded networks; its symmetric part is
     eigensolved. Diagnostic only: callers treat >= -1e-9 as positive
-    definite. Dense, so the instance size n*m is capped.
+    definite. Dense, so the instance size n*m is capped at PD_CHECK_CAP.
     """
     wx = np.asarray(omega_X, dtype=np.float64)
     wy = np.asarray(omega_Y, dtype=np.float64)
     n, m = wx.shape[0], wy.shape[0]
-    if n * m > cap:
-        raise CapExceeded(f"n*m = {n * m} exceeds cap {cap}")
+    if n * m > PD_CHECK_CAP:
+        raise CapExceeded(f"n*m = {n * m} exceeds cap {PD_CHECK_CAP}")
     K = _omega_matrix(kernel, wx, wy)
     return float(np.linalg.eigvalsh(0.5 * (K + K.T))[0])
 
@@ -323,8 +322,8 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
     SampleSide: M is n' x m', returns P (n x m) with P_ik = Sigma_jl T_ijkl M_jl.
     FeatureSide: M is n x m, returns Q (n' x m') with Q_jl = Sigma_ik T_ijkl M_ik.
     M may carry a leading stack axis, and the result then carries it too.
-    Dense, a stack is one matrix product (a stack of one stays a
-    matrix-vector product); factored, each slice is contracted on its own.
+    Dense, a stack is one matrix product; factored, each slice is contracted
+    on its own.
     """
     n, np_, m, mp = tensor.dims
     M = np.asarray(M, dtype=np.float64)
@@ -336,8 +335,6 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
     if tensor.mode is TensorMode.Factored:
         out = [_contract_factored(tensor, side, v.reshape(want)) for v in flat]
         out = out[0] if len(out) == 1 else np.stack(out)
-    elif len(flat) == 1:
-        out = tensor.matrix @ flat[0] if side is Side.SampleSide else flat[0] @ tensor.matrix
     else:
         out = flat @ (tensor.matrix.T if side is Side.SampleSide else tensor.matrix)
     return out.reshape(M.shape[:-2] + shape)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
-from .solver import (_ascend, _product_pair, _tight, _totals, ccot_distance_from_objective,
-                     update_block)
+from .solver import (_ascend, _product_pair, _project_pair, _totals,
+                     ccot_distance_from_objective, update_block)
 
 COALESCE_TOL = 1e-12  # sorted kernel values this close to the previous share its atom
 REL_TOL = 1e-12  # relative objective change at which uot_solve stops
@@ -61,7 +61,6 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     m = np.asarray(mu.masses, dtype=np.float64)
     n = np.asarray(nu.masses, dtype=np.float64)
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
-    live = W > 0
 
     # the product start, then the monotone (northwest-corner) alignment of
     # the sorted atoms: exact for identical distributions, a strong start
@@ -69,8 +68,8 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     A, B = _product_pair(m, n)
     pi = _monotone_plan(m, n)
     scale = n.sum() / max(m.sum(), 1e-300)
-    s = types.SimpleNamespace(A=_tight(np.stack((A, pi)) * live, m, 1),
-                              B=_tight(np.stack((B, pi * scale)) * live, n, 0))
+    s = types.SimpleNamespace()
+    s.A, s.B = _project_pair(np.stack((A, pi)), np.stack((B, pi * scale)), W > 0, m, n)
 
     def sweep(s):
         s.A, s.B = update_block(s.B, W, m, n)

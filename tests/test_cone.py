@@ -133,4 +133,4 @@ def test_kernel_pd_check_oracle(rng):
 def test_kernel_pd_check_cap():
     k = make_kernel("exp", 0.5)
     with pytest.raises(CapExceeded):
-        kernel_pd_check(k, np.zeros((30, 30)), np.zeros((30, 30)), cap=100)
+        kernel_pd_check(k, np.zeros((30, 30)), np.zeros((30, 30)))

@@ -8,6 +8,7 @@ from conicot import (
     image_to_network,
     knn_classify,
     perturb_measure,
+    validate_network,
 )
 from conicot.errors import (
     DegenerateSplit,
@@ -39,7 +40,7 @@ def test_gen_squares_deterministic():
 
 def test_gen_squares_placement_failure():
     with pytest.raises(PlacementFailure):
-        gen_squares(1, g=50, side=5, image_size=12, seed=0, retry_cap=200)
+        gen_squares(1, g=50, side=5, image_size=12, seed=0)
 
 
 def test_image_to_network():
@@ -155,3 +156,15 @@ def test_perturb_measure(rng):
     assert np.array_equal(out.kernel, net.kernel)
     with pytest.raises(ValueError):
         perturb_measure(net, eps=1.0)
+
+
+def test_perturb_measure_draws_from_a_shared_generator(rng):
+    # two calls on one Generator make the two draws it would make inline
+    nx, ny = random_network(rng, 6), random_network(rng, 4)
+    gen = np.random.default_rng(11)
+    outs = perturb_measure(nx, 0.2, gen), perturb_measure(ny, 0.2, gen)
+    inline = np.random.default_rng(11)
+    for net, out in zip((nx, ny), outs):
+        eta = inline.uniform(-0.2, 0.2, size=net.n)
+        assert np.array_equal(out.weights, validate_network(net.weights * (1.0 + eta),
+                                                            net.kernel).weights)

@@ -14,8 +14,8 @@ from conicot import (
 )
 from conicot import solver
 from conicot.errors import DimensionMismatch, NegativeSquaredDistance
-from conicot.solver import init_interior, project_to_gamma_bar, update_block
-from conicot.tensor import Side, TensorPolicy, build_tensor, contract
+from conicot.solver import project_to_gamma_bar, update_block
+from conicot.tensor import DistortionTensor, Side, TensorPolicy, build_tensor, contract
 from tests.test_tensor import _knn_adjacency
 from tests.conftest import random_hypernetwork, random_network
 
@@ -29,8 +29,13 @@ def _setup(rng, dims=(3, 4, 3, 4), kernel_name="exp", delta=0.5):
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     config = SolverConfig(kernel=k)
-    quad = init_interior(marginals, tensor)
+    quad = solver._inits(marginals, tensor, config)[0]
     return hx, hy, tensor, marginals, config, quad
+
+
+def _live(tensor):
+    """The masks of the nonvanishing sample- and feature-side Omega slice sums."""
+    return tuple(sums != 0.0 for sums in tensor.slice_sums())
 
 
 # block -> (quadruple field, marginal index, tight axis); a row-tight block is
@@ -150,7 +155,7 @@ def test_project_to_gamma_bar_vanishing_line_stays_zero(rng):
     blocks = (("A", 0, 1), ("B", 1, 0), ("Ap", 2, 1), ("Bp", 3, 0))
     for name, _, axis in blocks:
         getattr(quad, name)[_line(axis, 1)] = 0.0
-    fixed = project_to_gamma_bar(quad, tensor, marginals)
+    fixed = project_to_gamma_bar(quad, _live(tensor), marginals)
     for name, idx, axis in blocks:
         _assert_tight_with_line_1_zero(getattr(fixed, name), getattr(quad, name),
                                        marginals[idx], axis)
@@ -241,12 +246,42 @@ def test_degenerate_all_mass_forced_zero():
 def test_project_to_gamma_bar_tightens_marginals(rng):
     _, _, tensor, marginals, _, quad = _setup(rng)
     loose = quad.scaled(0.3)
-    fixed = project_to_gamma_bar(loose, tensor, marginals)
+    fixed = project_to_gamma_bar(loose, _live(tensor), marginals)
     a, b, ap, bp = marginals
     assert np.allclose(fixed.A.sum(axis=1), a)
     assert np.allclose(fixed.B.sum(axis=0), b)
     assert np.allclose(fixed.Ap.sum(axis=1), ap)
     assert np.allclose(fixed.Bp.sum(axis=0), bp)
+
+
+def test_project_to_gamma_bar_on_a_stack_projects_each_slice(rng):
+    _, _, tensor, marginals, _, quad = _setup(rng)
+    live = _live(tensor)
+    slices = [SemiCouplingQuadruple(*(M * rng.uniform(0.5, 1.5, M.shape)
+                                      for M in (quad.A, quad.B, quad.Ap, quad.Bp)))
+              for _ in range(3)]
+    fixed = project_to_gamma_bar(solver._stack(slices), live, marginals)
+    for s, q in enumerate(slices):
+        one = project_to_gamma_bar(q, live, marginals)
+        for name in ("A", "B", "Ap", "Bp"):
+            assert np.array_equal(getattr(fixed, name)[s], getattr(one, name))
+
+
+def test_slice_sums_once_per_solve(rng, monkeypatch):
+    # the Omega-slice masks serve every start of the solve
+    hx, hy, tensor, _, _, _ = _setup(rng)
+    calls = []
+    slice_sums = DistortionTensor.slice_sums
+
+    def counting(self):
+        calls.append(1)
+        return slice_sums(self)
+
+    monkeypatch.setattr(DistortionTensor, "slice_sums", counting)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=5, max_iters=20)
+    _, _, report = bca_solve(hx, hy, cfg, tensor=tensor)
+    assert len(report.restarts) == 5
+    assert len(calls) == 1
 
 
 def test_objective_homogeneity(rng):
