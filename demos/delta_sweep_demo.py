@@ -39,9 +39,10 @@ def main():
 
     print(f"kernel={args.kernel}  GW2={out['gw2']:.6f}  "
           f"reference=sqrt(2C)*GW_l2={out['reference']:.6f}")
-    print(f"{'delta':>8} {'CGW':>12} {'rel gap':>10}")
+    print(f"{'delta':>8} {'CGW':>12} {'rel gap':>10} {'sweeps':>7} stop")
     for row in out["rows"]:
-        print(f"{row['delta']:8.2f} {row['cgw']:12.6f} {row['rel_gap']:10.4f}")
+        print(f"{row['delta']:8.2f} {row['cgw']:12.6f} {row['rel_gap']:10.4f} "
+              f"{row['sweeps']:7d} {row['stop']}")
     print(f"fitted constant at largest delta: {out['fitted_constant']:.4f} "
           f"(target {out['sqrt_2C']:.4f})")
 

@@ -303,9 +303,10 @@ def run_command(argv) -> int:
             table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
             if args.csv:
                 with open(args.csv, "w") as f:
-                    f.write("delta,cgw,reference,rel_gap\n")
+                    f.write("delta,cgw,reference,rel_gap,sweeps,stop\n")
                     for row in table["rows"]:
-                        f.write("{delta},{cgw},{reference},{rel_gap}\n".format(**row))
+                        f.write("{delta},{cgw},{reference},{rel_gap},{sweeps},{stop}\n"
+                                .format(**row))
             _emit(args, table)
         elif args.command == "verify":
             report = _run_verify(args)

@@ -14,6 +14,7 @@ A -> B -> A' -> B'. The distance is recovered from the optimal objective via
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import types
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from .cone import ConeKernel, _ccot_d2
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
-from .errors import DimensionMismatch, NegativeSquaredDistance
-from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorPolicy,
-                     build_tensor, contract, kernel_pd_check)
+from .errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
+from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorMode,
+                     TensorPolicy, build_tensor, contract, kernel_pd_check)
 
 
 @dataclasses.dataclass
@@ -53,6 +54,11 @@ class SolverConfig:
     seed: int = 0
     tensor_policy: TensorPolicy = dataclasses.field(default_factory=TensorPolicy)
     extra_inits: list = dataclasses.field(default_factory=list)
+
+    def __post_init__(self):
+        for name, low in (("restarts", 1), ("max_iters", 0), ("rel_tol", 0)):
+            if getattr(self, name) < low:
+                raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
 
     def echo(self) -> dict:
         return {
@@ -254,29 +260,99 @@ def _stack(starts):
         **{name: np.stack(b) if len(b) > 1 else b[0][None] for name, b in blocks.items()})
 
 
-def _run_stack(tensor, marginals, starts, size, config):
+def _run_stack(tensors, marginals, starts, size, config):
     """Cyclic sweeps of the first `size` starts as one stack.
 
-    The starts are taken out of the list, so it holds none of them through
-    the ascent. Returns one (quadruple, objective trace, stop) per start, in
-    order.
+    starts holds (kernel index into tensors, start) pairs in kernel order.
+    They are taken out of the list, so it holds none of them through the
+    ascent. A stack of one kernel contracts with its tensor; a stack of
+    several with one dense matrix per start, compacted along with the
+    starts. Returns one (kernel index, quadruple, objective trace, stop) per
+    start, in order.
     """
     a, b, ap, bp = marginals
-    s = _stack([starts.pop(0) for _ in range(min(size, len(starts)))])
+    kernels = [k for k, _ in starts[:size]]
+    s = _stack([starts.pop(0)[1] for _ in kernels])
+    tensor = tensors[kernels[0]]
+    mixed = kernels[0] != kernels[-1]
+    if mixed:
+        s.matrix = np.stack([tensors[k].matrix for k in kernels])
+
+    def tensor_of(s):
+        return DistortionTensor(TensorMode.Dense, tensor.dims, s.matrix) if mixed else tensor
+
     s.Mp = np.sqrt(s.Ap * s.Bp)
-    F = _totals(np.sqrt(s.A * s.B) * contract(tensor, Side.SampleSide, s.Mp))
+    F = _totals(np.sqrt(s.A * s.B) * contract(tensor_of(s), Side.SampleSide, s.Mp))
 
     def sweep(s):
+        T = tensor_of(s)
         # P is passed inline: holding it to the end of the sweep as well as
         # Mp would keep one more n x m array alive at the memory peak
-        s.A, s.B = update_block(s.B, contract(tensor, Side.SampleSide, s.Mp), a, b)
-        Q = contract(tensor, Side.FeatureSide, np.sqrt(s.A * s.B))
+        s.A, s.B = update_block(s.B, contract(T, Side.SampleSide, s.Mp), a, b)
+        Q = contract(T, Side.FeatureSide, np.sqrt(s.A * s.B))
         s.Ap, s.Bp = update_block(s.Bp, Q, ap, bp)
         s.Mp = np.sqrt(s.Ap * s.Bp)
         return _totals(s.Mp * Q)
 
-    return [(SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
-            for r, trace, stop in _ascend(s, F, sweep, config.max_iters, config.rel_tol)]
+    return [(k, SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
+            for k, (r, trace, stop) in zip(
+                kernels, _ascend(s, F, sweep, config.max_iters, config.rel_tol))]
+
+
+def _solve_group(hx, hy, configs, tensor=None):
+    """bca_solve for each of configs, which differ only in kernel, as one ascent.
+
+    tensor, if given, is the one config's; otherwise each tensor is built
+    here. Stacks hold as many starts as fit _BLOCK_ENTRIES entries per
+    block, where a start in a stack of several kernels carries its own dense
+    matrix as a block. Each report's wall_time runs from the start of this
+    call.
+    """
+    t0 = time.perf_counter()
+    tensors = ([tensor] if tensor is not None else
+               [build_tensor(hx, hy, c.kernel, c.tensor_policy) for c in configs])
+    marginals = (hx.sample_weights, hy.sample_weights,
+                 hx.feature_weights, hy.feature_weights)
+    masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
+    n, np_, m, mp = tensors[0].dims
+    block = n * np_ * m * mp if len(configs) > 1 else max(n * m, np_ * mp, 1)
+    per_stack = max(1, _BLOCK_ENTRIES // block)
+    starts = [(k, start) for k, (t, c) in enumerate(zip(tensors, configs))
+              for start in _inits(marginals, t, c)]
+
+    restarts = [[] for _ in configs]
+    best = [None] * len(configs)
+    while starts:
+        for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack,
+                                               configs[0]):
+            restarts[k].append({"objective": trace[-1], "sweeps": len(trace) - 1,
+                                "stop": stop})
+            if best[k] is None or trace[-1] > best[k][2][-1]:
+                best[k] = (len(restarts[k]) - 1, quad, trace, stop)
+
+    out = []
+    for config, tensor, runs, (idx, quad, trace, stop) in zip(configs, tensors, restarts, best):
+        distance = ccot_distance_from_objective(trace[-1], masses, config.kernel.delta)
+        M = np.sqrt(quad.A * quad.B)
+        Mp = np.sqrt(quad.Ap * quad.Bp)
+        qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
+        gap = None
+        if quad.A.shape == quad.Ap.shape:
+            gap = float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
+        report = SolverReport(
+            objective_trace=trace,
+            distance=distance,
+            iterations=len(trace) - 1,
+            converged=stop == "rel_tol",
+            quantization_uncertainty=qunc,
+            wall_time=time.perf_counter() - t0,
+            config=config.echo(),
+            frobenius_gap=gap,
+            best_restart=idx,
+            restarts=runs,
+        )
+        out.append((distance, quad, report))
+    return out
 
 
 def bca_solve(
@@ -294,44 +370,28 @@ def bca_solve(
 
     Returns (distance, best SemiCouplingQuadruple, SolverReport).
     """
-    t0 = time.perf_counter()
-    if tensor is None:
-        tensor = build_tensor(hx, hy, config.kernel, config.tensor_policy)
-    marginals = (hx.sample_weights, hy.sample_weights,
-                 hx.feature_weights, hy.feature_weights)
-    masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
-    n, np_, m, mp = tensor.dims
-    per_stack = max(1, _BLOCK_ENTRIES // max(n * m, np_ * mp, 1))
-    starts = _inits(marginals, tensor, config)
+    return _solve_group(hx, hy, [config], tensor)[0]
 
-    restarts, best = [], None
-    while starts:
-        for quad, trace, stop in _run_stack(tensor, marginals, starts, per_stack, config):
-            restarts.append({"objective": trace[-1], "sweeps": len(trace) - 1, "stop": stop})
-            if best is None or trace[-1] > best[1][-1]:
-                idx, best = len(restarts) - 1, (quad, trace, stop)
 
-    quad, trace, stop = best
-    distance = ccot_distance_from_objective(trace[-1], masses, config.kernel.delta)
-    M = np.sqrt(quad.A * quad.B)
-    Mp = np.sqrt(quad.Ap * quad.Bp)
-    qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
-    gap = None
-    if quad.A.shape == quad.Ap.shape:
-        gap = float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
-    report = SolverReport(
-        objective_trace=trace,
-        distance=distance,
-        iterations=len(trace) - 1,
-        converged=stop == "rel_tol",
-        quantization_uncertainty=qunc,
-        wall_time=time.perf_counter() - t0,
-        config=config.echo(),
-        frobenius_gap=gap,
-        best_restart=idx,
-        restarts=restarts,
-    )
-    return distance, quad, report
+def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
+                      config: SolverConfig, kernels):
+    """bca_solve(hx, hy, config with each kernel of kernels in turn).
+
+    Kernels whose dense matrices together fit _BLOCK_ENTRIES entries sweep
+    their restarts as one stack; every kernel keeps its own starts, stop
+    rule and best restart. Otherwise the kernels are solved one after
+    another and each tensor is built on its turn, so no two large tensors
+    are alive at once. Returns one (distance, quadruple, report) per kernel.
+    """
+    dims = hx.kernel.shape + hy.kernel.shape
+    size = 1
+    if config.tensor_policy.fits_dense(dims):
+        size = max(1, _BLOCK_ENTRIES // max(1, math.prod(dims)))
+    configs = [dataclasses.replace(config, kernel=k) for k in kernels]
+    out = []
+    for g in range(0, len(configs), size):
+        out += _solve_group(hx, hy, configs[g:g + size])
+    return out
 
 
 def cgw_solve(

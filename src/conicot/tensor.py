@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -66,12 +67,18 @@ class TensorPolicy:
         if self.quantize_bins < 1:
             raise NegativeArgument(f"quantize_bins = {self.quantize_bins} is below 1")
 
+    def fits_dense(self, dims) -> bool:
+        """Whether a tensor of these dims is stored dense."""
+        return 8 * math.prod(dims) <= self.max_dense_bytes
+
 
 @dataclasses.dataclass
 class DistortionTensor:
     mode: TensorMode
     dims: tuple  # (n, n', m, m')
-    matrix: np.ndarray | None = None  # (n*m) x (n'*m'), rows (i, k), columns (j, l)
+    # (n*m) x (n'*m'), rows (i, k), columns (j, l); or a stack of such matrices,
+    # one per slice of the stack that contract takes
+    matrix: np.ndarray | None = None
     x_values: np.ndarray | None = None
     y_values: np.ndarray | None = None
     x_indicator: np.ndarray | None = None  # n x n' bin ids into x_values
@@ -204,8 +211,7 @@ def build_tensor(
     n, np_ = hx.kernel.shape
     m, mp = hy.kernel.shape
     dims = (n, np_, m, mp)
-    dense_bytes = 8 * n * np_ * m * mp
-    if dense_bytes <= policy.max_dense_bytes:
+    if policy.fits_dense(dims):
         matrix = _omega_matrix(kernel, hx.kernel, hy.kernel)
         return DistortionTensor(mode=TensorMode.Dense, dims=dims, matrix=matrix)
     indicator_bytes = 8 * (n * np_ + m * mp)
@@ -323,7 +329,8 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
     FeatureSide: M is n x m, returns Q (n' x m') with Q_jl = Sigma_ik T_ijkl M_ik.
     M may carry a leading stack axis, and the result then carries it too.
     Dense, a stack is one matrix product; factored, each slice is contracted
-    on its own.
+    on its own. A dense matrix with a leading axis contracts each slice of M
+    with its own matrix, as one batched product.
     """
     n, np_, m, mp = tensor.dims
     M = np.asarray(M, dtype=np.float64)
@@ -335,6 +342,11 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
     if tensor.mode is TensorMode.Factored:
         out = [_contract_factored(tensor, side, v.reshape(want)) for v in flat]
         out = out[0] if len(out) == 1 else np.stack(out)
+    elif tensor.matrix.ndim == 3:
+        if len(flat) != len(tensor.matrix):
+            raise DimensionMismatch(f"{len(tensor.matrix)} matrices for {len(flat)} slices")
+        mats = tensor.matrix.transpose(0, 2, 1) if side is Side.SampleSide else tensor.matrix
+        out = (flat[:, None] @ mats)[:, 0]
     else:
         out = flat @ (tensor.matrix.T if side is Side.SampleSide else tensor.matrix)
     return out.reshape(M.shape[:-2] + shape)

@@ -105,9 +105,36 @@ def test_delta_sweep_structure(rng):
     gaps = [r["rel_gap"] for r in out["rows"]]
     assert out["final_gap_is_min"] == (gaps[-1] <= min(gaps) + 1e-12)
     assert out["fitted_constant"] > 0
-    # unbalanced inputs are rejected
+    # unbalanced inputs are rejected, and so is an empty delta list
     with pytest.raises(ValueError):
         delta_sweep(random_network(rng, 3), ny, [1.0], _cfg())
+    with pytest.raises(ValueError):
+        delta_sweep(nx, ny, [], _cfg())
+
+
+@pytest.mark.parametrize("family", ["cos", "exp"])
+@pytest.mark.parametrize("restarts, max_iters", [(1, 1000), (2, 3), (3, 1000), (4, 3)])
+def test_delta_sweep_rows_match_cgw_solve_at_each_delta(family, restarts, max_iters):
+    # the sweep solves its deltas as one stack; each row must be the solve of
+    # cgw_solve at that delta from the same starts. The distance amplifies
+    # rounding of the objective F by about delta^2 F / d^2, so F, recovered
+    # from the row's distance, is what matches to 1e-12
+    rng = np.random.default_rng(restarts * max_iters + (family == "cos"))
+    nx = random_network(rng, int(rng.integers(4, 7)), unit_mass=True, kernel_diameter=1.0)
+    ny = random_network(rng, int(rng.integers(4, 7)), unit_mass=True, kernel_diameter=1.0)
+    cfg = SolverConfig(kernel=make_kernel(family, 0.5), restarts=restarts,
+                       max_iters=max_iters)
+    deltas = [0.25, 1.0, 4.0, 16.0]
+    out = delta_sweep(nx, ny, deltas, cfg)
+    _, pi = conicot.analysis._unit_mass_gw2(nx, ny, cfg, "delta_sweep")
+    seed = conicot.analysis._coupling_quad(pi.matrix)
+    for d, row in zip(deltas, out["rows"]):
+        _, rep = cgw_solve(nx, ny, dataclasses.replace(
+            cfg, kernel=make_kernel(family, d), extra_inits=[seed]))
+        best = rep.restarts[rep.best_restart]
+        assert (row["sweeps"], row["stop"]) == (best["sweeps"], best["stop"])
+        F = 1.0 - row["cgw"] ** 2 / (8.0 * d * d)  # unit masses
+        assert abs(F - best["objective"]) <= 1e-12 * abs(best["objective"])
 
 
 def test_verify_scaling_solves_each_pair_once(rng, monkeypatch):

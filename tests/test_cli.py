@@ -154,8 +154,16 @@ def test_delta_sweep_command(tmp_path, net_files, capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["rows"]) == 2
     lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "delta,cgw,reference,rel_gap"
+    assert lines[0] == "delta,cgw,reference,rel_gap,sweeps,stop"
     assert len(lines) == 3
+    assert all(line.split(",")[-1] in ("rel_tol", "max_iters") for line in lines[1:])
+
+
+def test_cgw_rejects_zero_restarts(tmp_path, net_files, capsys, monkeypatch):
+    code, _, err = _run_in(tmp_path, ["cgw", *net_files, "--restarts", "0"],
+                           capsys, monkeypatch)
+    assert code == 1
+    assert err.startswith("error: negative_argument")
 
 
 def test_gen_squares_img2net_roundtrip(tmp_path, capsys, monkeypatch):

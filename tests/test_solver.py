@@ -1,3 +1,6 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from conicot import (
     validate_network,
 )
 from conicot import solver
-from conicot.errors import DimensionMismatch, NegativeSquaredDistance
+from conicot.errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
 from conicot.solver import project_to_gamma_bar, update_block
 from conicot.tensor import DistortionTensor, Side, TensorPolicy, build_tensor, contract
 from tests.test_tensor import _knn_adjacency
@@ -352,7 +355,7 @@ def _alone(hx, hy, tensor, config):
                  hx.feature_weights, hy.feature_weights)
     out = []
     for start in solver._inits(marginals, tensor, config):
-        (_, trace, stop), = solver._run_stack(tensor, marginals, [start], 1, config)
+        (_, _, trace, stop), = solver._run_stack([tensor], marginals, [(0, start)], 1, config)
         out.append((trace[-1], len(trace) - 1, stop))
     return out
 
@@ -402,3 +405,105 @@ def test_restarts_span_several_stacks(monkeypatch):
     assert solver._BLOCK_ENTRIES // (150 * 150) == 2
     _, heights = _assert_stack_matches_alone(nx, ny, cfg, monkeypatch)
     assert heights[0] == 2 and heights[-1] == 1
+
+
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -2),
+                                          ("max_iters", -5), ("rel_tol", -1e-9)])
+def test_solver_config_rejects_negative_arguments(field, value):
+    with pytest.raises(NegativeArgument):
+        SolverConfig(kernel=make_kernel("exp", 0.5), **{field: value})
+
+
+def _far_node_network(rng, n):
+    """A unit-mass network whose node 0 lies 5 beyond every other entry: with
+    the cosine kernel at delta 1 its Omega slices against a U(0, 1) network
+    vanish, at delta 4 they do not."""
+    k = rng.uniform(0.0, 1.0, (n, n))
+    k[0] += 5.0
+    k[:, 0] += 5.0
+    w = rng.uniform(0.5, 1.5, n)
+    return validate_network(w / w.sum(), k)
+
+
+def _kernels_in_one_stack(nx, ny, config, deltas, monkeypatch):
+    """Solve every delta with bca_solve_kernels, then each alone with
+    bca_solve; returns the kernel solves and the stack heights."""
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    kernels = [make_kernel(config.kernel.family.value, d) for d in deltas]
+    heights = []
+
+    def recording(t, side, M):
+        if side is Side.SampleSide:
+            heights.append(len(M))
+        return contract(t, side, M)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "contract", recording)
+        solves = solver.bca_solve_kernels(hx, hy, config, kernels)
+    for k, (dist, quad, report) in zip(kernels, solves):
+        _, alone_quad, alone = bca_solve(hx, hy, dataclasses.replace(config, kernel=k))
+        assert len(report.restarts) == len(alone.restarts)
+        for r, a in zip(report.restarts, alone.restarts):
+            assert (r["sweeps"], r["stop"]) == (a["sweeps"], a["stop"])
+            assert abs(r["objective"] - a["objective"]) <= 1e-12 * abs(a["objective"])
+        assert report.best_restart == alone.best_restart
+        assert report.config == alone.config
+        assert np.allclose(quad.A, alone_quad.A, rtol=1e-9, atol=1e-15)
+    return solves, heights
+
+
+def test_kernels_in_one_stack_match_each_kernel_alone(monkeypatch):
+    # all 12 starts of three deltas sweep as one stack; the smallest delta's
+    # restarts all stop at rel_tol within 100 sweeps while the others sweep
+    # on, so the stack is compacted across kernels
+    rng = np.random.default_rng(0)
+    nx, ny = random_network(rng, 5), random_network(rng, 4)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=4, max_iters=1000)
+    solves, heights = _kernels_in_one_stack(nx, ny, cfg, [0.5, 2.0, 32.0], monkeypatch)
+    assert heights[0] == 12
+    first = solves[0][2].restarts
+    assert all(r["stop"] == "rel_tol" and r["sweeps"] < 100 for r in first)
+    assert solves[-1][2].restarts[0]["stop"] == "max_iters"
+    assert 8 in heights
+
+
+def test_kernels_in_one_stack_keep_their_own_slice_masks(monkeypatch):
+    # cosine at delta 1 zeroes node 0's Omega slices, at delta 4 it does not
+    rng = np.random.default_rng(4)
+    nx = _far_node_network(rng, 5)
+    ny = validate_network(np.full(4, 0.25), rng.uniform(0.0, 1.0, (4, 4)))
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    live = [_live(build_tensor(hx, hy, make_kernel("cos", d)))[0] for d in (1.0, 4.0)]
+    assert not live[0][0].any() and live[1].all()
+    for restarts, max_iters in ((1, 3), (3, 1000)):
+        cfg = SolverConfig(kernel=make_kernel("cos", 1.0), restarts=restarts,
+                           max_iters=max_iters)
+        solves, heights = _kernels_in_one_stack(nx, ny, cfg, [1.0, 4.0], monkeypatch)
+        assert heights[0] == 2 * restarts
+        assert not solves[0][1].A[0].any()
+
+
+def test_large_kernels_are_solved_one_tensor_at_a_time(monkeypatch):
+    # 17^4 dense entries exceed _BLOCK_ENTRIES: each delta builds its tensor
+    # only after the previous one is gone, and solves as bca_solve alone
+    rng = np.random.default_rng(5)
+    nx, ny = random_network(rng, 17), random_network(rng, 17)
+    assert 17 ** 4 > solver._BLOCK_ENTRIES
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=2, max_iters=3)
+    alive = []
+
+    def building(*args):
+        assert all(ref() is None for ref in alive)
+        tensor = build_tensor(*args)
+        alive.append(weakref.ref(tensor))
+        return tensor
+
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "build_tensor", building)
+        solves = solver.bca_solve_kernels(hx, hy, cfg, [make_kernel("exp", d)
+                                                         for d in (0.5, 2.0, 8.0)])
+    assert len(alive) == 3
+    for d, (dist, _, report) in zip((0.5, 2.0, 8.0), solves):
+        alone, _, rep = bca_solve(hx, hy, dataclasses.replace(cfg, kernel=make_kernel("exp", d)))
+        assert dist == alone and report.restarts == rep.restarts

@@ -379,3 +379,20 @@ def test_contract_stack_equals_per_slice_calls(rng, case, side):
     assert np.array_equal(contract(t, side, M[:1])[0], contract(t, side, M[0]))
     with pytest.raises(DimensionMismatch):
         contract(t, side, M[None])
+
+
+@pytest.mark.parametrize("side", [Side.SampleSide, Side.FeatureSide])
+def test_contract_with_one_matrix_per_slice(rng, side):
+    # a dense matrix with a leading axis contracts each slice of M with its own
+    hx, hy = random_hypernetwork(rng, 4, 3), random_hypernetwork(rng, 5, 2)
+    tensors = [build_tensor(hx, hy, make_kernel("exp", d)) for d in (0.5, 2.0, 8.0)]
+    stacked = conicot.tensor.DistortionTensor(
+        TensorMode.Dense, tensors[0].dims, np.stack([t.matrix for t in tensors]))
+    n, np_, m, mp = stacked.dims
+    M = rng.uniform(size=(3,) + ((np_, mp) if side is Side.SampleSide else (n, m)))
+    got = contract(stacked, side, M)
+    for s, t in enumerate(tensors):
+        ref = contract(t, side, M[s])
+        assert np.abs(got[s] - ref).max() <= 1e-13 * np.abs(ref).max()
+    with pytest.raises(DimensionMismatch):
+        contract(stacked, side, M[:2])
