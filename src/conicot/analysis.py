@@ -99,8 +99,7 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
     # (a) and (b) share one solve; cgw_solve would return the same distance
     hx = embed_network_as_hypernetwork(net_s)
     hy = embed_network_as_hypernetwork(net_r)
-    tensor = build_tensor(hx, hy, config.kernel, config.tensor_policy)
-    dist, quad, _ = bca_solve(hx, hy, _with(config, extra_inits=[seed]), tensor=tensor)
+    dist, quad, _ = bca_solve(hx, hy, _with(config, extra_inits=[seed]))
     bound_a = 2.0 * delta * abs(r - s) * mass
     check_a = {
         "name": "scale_bound",
@@ -112,6 +111,7 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
 
     # (b) homogeneity at the objective level, an exact algebraic identity
     t = r if r > 0 else 1.7
+    tensor = build_tensor(hx, hy, config.kernel, config.tensor_policy)
     F0 = objective_F(quad, tensor)
     Ft = objective_F(quad.scaled(t), tensor)
     rel = abs(Ft - t * t * F0) / max(1.0, abs(t * t * F0))
@@ -324,61 +324,41 @@ def gw_fragility_demo(eps: float, f_eps: float) -> dict:
     }
 
 
+def _split_node(w, k, idx):
+    """Node idx of the network (w, k) split into two copies of half its weight.
+
+    Returns the split weights w @ R, the split kernel and the refinement map
+    R, whose row idx sends half to each copy and whose other rows are unit.
+    """
+    cols = np.append(np.arange(w.size), idx)
+    R = np.eye(w.size)[:, cols]
+    R[idx, [idx, w.size]] = 0.5
+    return w @ R, k[np.ix_(cols, cols)], R
+
+
 def weak_iso_probe(net: DiscreteMeasureNetwork, config: SolverConfig) -> dict:
     """Distance to relabeled and point-split copies of a network is zero.
 
     The exact correspondence coupling is injected as a restart in each case,
-    so the solver is guaranteed to certify the weak-isomorphism zero.
+    so the solver is guaranteed to certify the weak-isomorphism zero. The
+    split and double-split couplings are diag(weights) times the refinement
+    maps of the splits.
     """
     rng = np.random.default_rng(config.seed)
-    n = net.n
-    a = net.weights
+    a, k = net.weights, net.kernel
+    perm = rng.permutation(net.n)
+    # node i sits at slot argsort(perm)[i] of the relabeled copy
+    cases = [("permutation", a[perm], k[np.ix_(perm, perm)], np.diag(a)[:, perm])]
+    w, pi = a, np.diag(a)
+    for name in ("split", "double_split"):
+        w, k, R = _split_node(w, k, int(rng.integers(w.size)))
+        pi = pi @ R
+        cases.append((name, w, k, pi))
     checks = []
-
-    perm = rng.permutation(n)
-    net_p = validate_network(a[perm], net.kernel[np.ix_(perm, perm)])
-    pi = np.zeros((n, n))
-    inv = np.argsort(perm)
-    pi[np.arange(n), inv] = a  # original index i sits at slot inv[i]
-    dist, _ = cgw_solve(net, net_p, _with(config, extra_inits=[_coupling_quad(pi)]))
-    checks.append({"name": "permutation", "distance": dist,
-                   "pass": bool(dist <= 1e-5)})
-
-    def split_once(w, k, idx):
-        w2 = np.concatenate([w, [w[idx] / 2.0]])
-        w2[idx] = w[idx] / 2.0
-        k2 = np.zeros((w2.size, w2.size))
-        m = w.size
-        k2[:m, :m] = k
-        k2[m, :m] = k[idx, :]
-        k2[:m, m] = k[:, idx]
-        k2[m, m] = k[idx, idx]
-        return w2, k2
-
-    idx = int(rng.integers(n))
-    w2, k2 = split_once(a, net.kernel, idx)
-    net_split = validate_network(w2, k2)
-    pi = np.zeros((n, n + 1))
-    pi[np.arange(n), np.arange(n)] = a
-    pi[idx, idx] = a[idx] / 2.0
-    pi[idx, n] = a[idx] / 2.0
-    dist, _ = cgw_solve(net, net_split, _with(config, extra_inits=[_coupling_quad(pi)]))
-    checks.append({"name": "split", "distance": dist, "pass": bool(dist <= 1e-5)})
-
-    idx2 = int(rng.integers(n + 1))
-    w3, k3 = split_once(w2, k2, idx2)
-    net_split2 = validate_network(w3, k3)
-    pi2 = np.zeros((n + 1, n + 2))
-    pi2[np.arange(n + 1), np.arange(n + 1)] = w2
-    pi2[idx2, idx2] = w2[idx2] / 2.0
-    pi2[idx2, n + 1] = w2[idx2] / 2.0
-    # compose the two refinement correspondences (normalize the middle mass)
-    pi_total = pi @ (pi2 / np.where(w2 > 0, w2, 1.0)[:, None])
-    dist, _ = cgw_solve(net, net_split2,
-                        _with(config, extra_inits=[_coupling_quad(pi_total)]))
-    checks.append({"name": "double_split", "distance": dist,
-                   "pass": bool(dist <= 1e-5)})
-
+    for name, w, k, pi in cases:
+        dist, _ = cgw_solve(net, validate_network(w, k),
+                            _with(config, extra_inits=[_coupling_quad(pi)]))
+        checks.append({"name": name, "distance": dist, "pass": bool(dist <= 1e-5)})
     return {
         "probe": "weak_iso",
         "checks": checks,

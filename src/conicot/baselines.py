@@ -14,7 +14,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
-from .errors import CapExceeded, MassMismatch
+from .errors import CapExceeded, MassMismatch, NegativeArgument
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
 
@@ -142,11 +142,18 @@ class BaselineConfig:
     restarts: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("restarts", 1), ("max_iters", 0), ("tol", 0)):
+            if getattr(self, name) < low:
+                raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
+
 
 def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
               config: BaselineConfig | None = None):
     """GW2 upper-bound estimate by Frank-Wolfe with exact line search.
 
+    The GW objective is quadratic in the coupling, so a step's slope is the
+    gradient against the step and its new objective follows in closed form.
     Returns (value, Coupling); value includes the 1/2 prefactor of the
     distance definition.
     """
@@ -156,7 +163,7 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     wx, wy = nx.kernel, ny.kernel
     rng = np.random.default_rng(config.seed)
     inits = [np.outer(a, b) / max(b.sum(), 1e-300)]
-    for _ in range(max(0, config.restarts - 1)):
+    for _ in range(config.restarts - 1):
         noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
         pi0 = _round_to_polytope(inits[0] * noise, a, b)
         inits.append(pi0)
@@ -166,19 +173,16 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         obj = _gw_objective(wx, wy, pi)
         for _ in range(config.max_iters):
             grad = _gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi)
-            target = ot_exact(a, b, grad)[0].matrix
-            delta = target - pi
-            # objective along pi + t delta is quadratic in t
-            lin = float((_gw_linear_term(wx, wy, delta) * pi).sum()
-                        + (_gw_linear_term(wx, wy, pi) * delta).sum())
+            delta = ot_exact(a, b, grad)[0].matrix - pi
+            # the objective along pi + t delta is obj + t lin + t^2 quad exactly
+            lin = float((grad * delta).sum())
             quad = _gw_objective(wx, wy, delta)
             if quad > 0:
                 t = np.clip(-lin / (2.0 * quad), 0.0, 1.0)
             else:
                 t = 1.0 if lin + quad < 0 else 0.0
-            if t > 0:
-                pi = pi + t * delta
-            new_obj = _gw_objective(wx, wy, pi)
+            pi = pi + t * delta
+            new_obj = obj + t * lin + t * t * quad
             if obj - new_obj <= config.tol * max(1.0, abs(obj)):
                 obj = min(obj, new_obj)
                 break
@@ -204,11 +208,13 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     wx, wy = hx.kernel, hy.kernel
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
-    obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
+    cost_s = _gw_linear_term(wx, wy, pi_f)  # the sample-side cost at pi_f
+    obj = float((cost_s * pi_s).sum())
     for _ in range(config.max_iters):
-        pi_s = ot_exact(a, b, _gw_linear_term(wx, wy, pi_f))[0].matrix
+        pi_s = ot_exact(a, b, cost_s)[0].matrix
         pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0].matrix
-        new_obj = float((_gw_linear_term(wx, wy, pi_f) * pi_s).sum())
+        cost_s = _gw_linear_term(wx, wy, pi_f)
+        new_obj = float((cost_s * pi_s).sum())
         if obj - new_obj <= config.tol * max(1.0, abs(obj)):
             obj = min(obj, new_obj)
             break

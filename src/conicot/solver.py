@@ -299,18 +299,16 @@ def _run_stack(tensors, marginals, starts, size, config):
                 kernels, _ascend(s, F, sweep, config.max_iters, config.rel_tol))]
 
 
-def _solve_group(hx, hy, configs, tensor=None):
+def _solve_group(hx, hy, configs):
     """bca_solve for each of configs, which differ only in kernel, as one ascent.
 
-    tensor, if given, is the one config's; otherwise each tensor is built
-    here. Stacks hold as many starts as fit _BLOCK_ENTRIES entries per
-    block, where a start in a stack of several kernels carries its own dense
-    matrix as a block. Each report's wall_time runs from the start of this
-    call.
+    Each config's tensor is built here. Stacks hold as many starts as fit
+    _BLOCK_ENTRIES entries per block, where a start in a stack of several
+    kernels carries its own dense matrix as a block. Each report's wall_time
+    runs from the start of this call.
     """
     t0 = time.perf_counter()
-    tensors = ([tensor] if tensor is not None else
-               [build_tensor(hx, hy, c.kernel, c.tensor_policy) for c in configs])
+    tensors = [build_tensor(hx, hy, c.kernel, c.tensor_policy) for c in configs]
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
@@ -355,12 +353,8 @@ def _solve_group(hx, hy, configs, tensor=None):
     return out
 
 
-def bca_solve(
-    hx: DiscreteMeasureHypernetwork,
-    hy: DiscreteMeasureHypernetwork,
-    config: SolverConfig,
-    tensor: DistortionTensor | None = None,
-):
+def bca_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
+              config: SolverConfig):
     """CCOT distance between two hypernetworks by multi-restart block ascent.
 
     The restarts sweep in stacks of as many as fit _BLOCK_ENTRIES entries
@@ -370,7 +364,7 @@ def bca_solve(
 
     Returns (distance, best SemiCouplingQuadruple, SolverReport).
     """
-    return _solve_group(hx, hy, [config], tensor)[0]
+    return _solve_group(hx, hy, [config])[0]
 
 
 def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,

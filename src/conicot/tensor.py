@@ -161,7 +161,10 @@ def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     rows = max(1, _BLOCK_ENTRIES // max(np_ * mp, 1))
     starts = range(0, n * m, rows)
     scale = 2.0 * kernel.delta
-    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
+    # os.sched_getaffinity is missing on macOS and Windows
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(len(starts), cpus))
 
     def fill(first: int) -> None:
         for r0 in starts[first::workers]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
+from .errors import NegativeArgument
 from .solver import (_ascend, _product_pair, _project_pair, _totals,
                      ccot_distance_from_objective, update_block)
 
@@ -58,6 +59,8 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
     one feature of unit mass on each side.
     """
+    if max_iters < 0:
+        raise NegativeArgument(f"max_iters = {max_iters} is below 0")
     m = np.asarray(mu.masses, dtype=np.float64)
     n = np.asarray(nu.masses, dtype=np.float64)
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
@@ -82,27 +85,14 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
 
 
 def _monotone_plan(m, n):
-    """Northwest-corner plan between m and n rescaled to m's total mass."""
-    total_m = m.sum()
-    total_n = n.sum()
+    """Northwest-corner plan between m and n rescaled to m's total mass: the
+    overlap of the atoms' cumulative-mass intervals."""
+    total_m, total_n = m.sum(), n.sum()
     if total_m <= 0 or total_n <= 0:
         return np.zeros((m.size, n.size))
-    nn = n * (total_m / total_n)
-    pi = np.zeros((m.size, n.size))
-    i = j = 0
-    ri, cj = m[0], nn[0]
-    while i < m.size and j < n.size:
-        move = min(ri, cj)
-        pi[i, j] = move
-        ri -= move
-        cj -= move
-        if ri <= 1e-15 * max(total_m, 1.0):
-            i += 1
-            ri = m[i] if i < m.size else 0.0
-        if cj <= 1e-15 * max(total_m, 1.0):
-            j += 1
-            cj = nn[j] if j < n.size else 0.0
-    return pi
+    cm = np.concatenate(([0.0], np.cumsum(m)))[:, None]
+    cn = np.concatenate(([0.0], np.cumsum(n * (total_m / total_n))))[None, :]
+    return np.maximum(0.0, np.minimum(cm[1:], cn[:, 1:]) - np.maximum(cm[:-1], cn[:, :-1]))
 
 
 def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,

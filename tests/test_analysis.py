@@ -12,6 +12,7 @@ from conicot import (
     gw_fragility_demo,
     make_kernel,
     robustness_probe,
+    validate_network,
     verify_bound_sandwich,
     verify_scaling,
     weak_iso_probe,
@@ -90,6 +91,18 @@ def test_gw_fragility_demo():
 def test_weak_iso_probe(rng):
     net = random_network(rng, 5, unit_mass=True)
     out = weak_iso_probe(net, _cfg())
+    assert out["pass"], out
+    assert [c["name"] for c in out["checks"]] == [
+        "permutation", "split", "double_split"]
+
+
+@pytest.mark.parametrize("name", ["cos", "exp"])
+def test_weak_iso_probe_zero_weight_node(rng, name):
+    net = random_network(rng, 5, unit_mass=True)
+    w = net.weights.copy()
+    w[2] = 0.0
+    net = validate_network(w / w.sum(), net.kernel)
+    out = weak_iso_probe(net, _cfg(name))
     assert out["pass"], out
     assert [c["name"] for c in out["checks"]] == [
         "permutation", "split", "double_split"]

@@ -1,5 +1,7 @@
 import itertools
 
+import conicot.baselines
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from conicot import (
     validate_network,
 )
 from conicot.baselines import _gw_objective, _gw_linear_term
-from conicot.errors import CapExceeded, MassMismatch
+from conicot.errors import CapExceeded, MassMismatch, NegativeArgument
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -145,3 +147,55 @@ def test_cot_mass_check(rng):
     hy = random_hypernetwork(rng, 4, 3)
     with pytest.raises(MassMismatch):
         cot_solve(hx, hy)
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named conicot.baselines function with a call counter."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(conicot.baselines, name)
+
+        def counting(*a, _fn=fn, _name=name, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+        monkeypatch.setattr(conicot.baselines, name, counting)
+    return calls
+
+
+def test_gw2_three_linear_terms_per_step(rng, monkeypatch):
+    # the gradient, the step's quadratic and nothing else; plus the start
+    nx = random_network(rng, 5, unit_mass=True)
+    ny = random_network(rng, 6, unit_mass=True)
+    calls = _count_calls(monkeypatch, "_gw_linear_term", "ot_exact")
+    gw2_solve(nx, ny, BaselineConfig(restarts=1))
+    assert calls["ot_exact"] > 1
+    assert calls["_gw_linear_term"] == 1 + 3 * calls["ot_exact"]
+
+
+def test_cot_two_linear_terms_per_alternation(rng, monkeypatch):
+    # the sample-side cost of the objective feeds the next alternation's LP
+    hx = random_hypernetwork(rng, 5, 4, unit_mass=True)
+    hy = random_hypernetwork(rng, 6, 3, unit_mass=True)
+    calls = _count_calls(monkeypatch, "_gw_linear_term", "ot_exact")
+    cot_solve(hx, hy)
+    alternations = calls["ot_exact"] // 2
+    assert alternations > 1 and calls["ot_exact"] == 2 * alternations
+    assert calls["_gw_linear_term"] == 1 + 2 * alternations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gw2_value_is_the_objective_of_its_coupling(seed):
+    # the objective carried through the line searches never drifts
+    r = np.random.default_rng(seed)
+    nx = random_network(r, 5, unit_mass=True)
+    ny = random_network(r, 7, unit_mass=True)
+    value, coupling = gw2_solve(nx, ny, BaselineConfig(seed=seed))
+    exact = 0.5 * np.sqrt(_gw_objective(nx.kernel, ny.kernel, coupling.matrix))
+    assert value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -3),
+                                          ("max_iters", -5), ("tol", -1e-9)])
+def test_baseline_config_rejects_out_of_range(field, value):
+    with pytest.raises(NegativeArgument):
+        BaselineConfig(**{field: value})

@@ -166,6 +166,15 @@ def test_cgw_rejects_zero_restarts(tmp_path, net_files, capsys, monkeypatch):
     assert err.startswith("error: negative_argument")
 
 
+@pytest.mark.parametrize("cmd", ["gw2", "cot", "uot-bound"])
+def test_baseline_commands_reject_negative_max_iters(tmp_path, net_files, cmd, capsys,
+                                                     monkeypatch):
+    code, _, err = _run_in(tmp_path, [cmd, *net_files, "--max-iters", "-5"],
+                           capsys, monkeypatch)
+    assert code == 1
+    assert err.startswith("error: negative_argument")
+
+
 def test_gen_squares_img2net_roundtrip(tmp_path, capsys, monkeypatch):
     code, out, _ = _run_in(
         tmp_path, ["gen-squares", "--count", "2", "--dir", str(tmp_path)],

@@ -282,7 +282,7 @@ def test_slice_sums_once_per_solve(rng, monkeypatch):
 
     monkeypatch.setattr(DistortionTensor, "slice_sums", counting)
     cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=5, max_iters=20)
-    _, _, report = bca_solve(hx, hy, cfg, tensor=tensor)
+    _, _, report = bca_solve(hx, hy, cfg)
     assert len(report.restarts) == 5
     assert len(calls) == 1
 
@@ -373,7 +373,7 @@ def _assert_stack_matches_alone(nx, ny, config, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "contract", recording)
-        _, _, report = bca_solve(hx, hy, config, tensor=tensor)
+        _, _, report = bca_solve(hx, hy, config)
     alone = _alone(hx, hy, tensor, config)
     assert len(report.restarts) == len(alone)
     for r, (objective, sweeps, stop) in zip(report.restarts, alone):

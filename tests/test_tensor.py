@@ -113,6 +113,17 @@ def test_blocked_omega_matrix_more_workers_than_cores(rng, monkeypatch, family,
     assert np.array_equal(got, _one_buffer_omega_matrix(k, wx, wy))
 
 
+@pytest.mark.parametrize("cpu_count", [None, 8])
+def test_omega_matrix_without_sched_getaffinity(rng, monkeypatch, cpu_count):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count may say None
+    monkeypatch.delattr(conicot.tensor.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(conicot.tensor.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(conicot.tensor, "_BLOCK_ENTRIES", 1000)
+    wx, wy = rng.uniform(0, 3, size=(37, 11)), rng.uniform(0, 3, size=(29, 13))
+    k = make_kernel("exp", 0.4)
+    assert np.array_equal(_omega_matrix(k, wx, wy), _one_buffer_omega_matrix(k, wx, wy))
+
+
 def test_blocked_omega_matrix_raises_from_a_worker(rng, monkeypatch):
     monkeypatch.setattr(conicot.tensor.os, "sched_getaffinity", lambda pid: set(range(8)))
     wx, wy = rng.uniform(0, 3, size=(37, 11)), rng.uniform(0, 3, size=(29, 13))

@@ -14,6 +14,7 @@ from conicot import (
     validate_network,
 )
 from conicot.cone import omega_of_gap
+from conicot.errors import NegativeArgument
 from conicot.solver import _product_pair, _tight, update_block
 from conicot.uot import COALESCE_TOL, REL_TOL, _monotone_plan
 from tests.conftest import random_network
@@ -71,6 +72,48 @@ def test_monotone_plan_identical_is_diagonal():
 def test_monotone_plan_rescales_unbalanced():
     pi = _monotone_plan(np.array([1.0, 1.0]), np.array([4.0]))
     assert np.allclose(pi.sum(axis=1), [1.0, 1.0])
+
+
+def _loop_monotone_plan(m, n):
+    """The northwest-corner rule walked atom by atom, for comparison."""
+    total_m, total_n = m.sum(), n.sum()
+    pi = np.zeros((m.size, n.size))
+    if total_m <= 0 or total_n <= 0:
+        return pi
+    nn = n * (total_m / total_n)
+    i = j = 0
+    ri, cj = m[0], nn[0]
+    while i < m.size and j < n.size:
+        move = min(ri, cj)
+        pi[i, j] = move
+        ri -= move
+        cj -= move
+        if ri <= 1e-15 * max(total_m, 1.0):
+            i += 1
+            ri = m[i] if i < m.size else 0.0
+        if cj <= 1e-15 * max(total_m, 1.0):
+            j += 1
+            cj = nn[j] if j < n.size else 0.0
+    return pi
+
+
+def test_monotone_plan_matches_loop_reference():
+    r = np.random.default_rng(7)
+    for _ in range(500):
+        m, n = (r.uniform(0.0, 2.0, size=r.integers(1, 30)) for _ in range(2))
+        m[r.uniform(size=m.size) < 0.2] = 0.0
+        n[r.uniform(size=n.size) < 0.2] = 0.0
+        got, want = _monotone_plan(m, n), _loop_monotone_plan(m, n)
+        assert np.abs(got - want).max() <= 1e-14 * max(m.sum(), 1.0)
+
+
+def test_uot_rejects_negative_max_iters():
+    net = random_network(np.random.default_rng(0), 3)
+    mu = pushforward_value_distribution(net)
+    with pytest.raises(NegativeArgument):
+        uot_solve(mu, mu, make_kernel("exp", 0.5), max_iters=-5)
+    with pytest.raises(NegativeArgument):
+        cgw_lower_bound(net, net, make_kernel("exp", 0.5), max_iters=-1)
 
 
 @pytest.mark.parametrize("name", ["cos", "exp"])
