@@ -6,16 +6,22 @@ Co-optimal transport recovers both the cell-to-cell and the
 feature-to-feature correspondence from the raw value tables alone.  Cell
 alignment quality is scored by FOSCTTM (fraction of samples closer than
 the true match; 0 is perfect, 0.5 is chance), feature alignment by
-row-argmax recovery of the planted feature links.
+row-argmax recovery of the planted feature links.  The script exits 1 if
+FOSCTTM exceeds MAX_FOSCTTM or fewer than MIN_LINKS of the planted links
+are recovered.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
 
 import conicot as c
 from conicot.solver import bca_solve
+
+MAX_FOSCTTM = 0.15
+MIN_LINKS = 0.8  # fraction of the planted feature links
 
 
 def main():
@@ -50,6 +56,15 @@ def main():
           f"{len(corr2['features'])} planted feature links "
           f"[{time.perf_counter() - t0:.0f}s]")
 
+    ok = True
+    if score > MAX_FOSCTTM:
+        print(f"FAIL: FOSCTTM {score:.4f} is above {MAX_FOSCTTM}")
+        ok = False
+    if hits < MIN_LINKS * len(corr2["features"]):
+        print(f"FAIL: {hits} links recovered, fewer than {MIN_LINKS:.0%}")
+        ok = False
+    return 0 if ok else 1
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

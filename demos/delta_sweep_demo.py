@@ -4,10 +4,12 @@ For unit-mass networks with small kernel diameter, the conic distance at
 large delta lines up with sqrt(2C) times the (unhalved) GW L2 distortion
 norm, where C is the curvature constant of the kernel profile.  Small delta
 buys robustness to mass perturbations at the price of drifting away from
-the balanced geometry; this script prints the trade-off as a table.
+the balanced geometry; this script prints the trade-off as a table, and
+exits 1 unless the largest delta is the closest to the reference.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -45,7 +47,11 @@ def main():
               f"{row['sweeps']:7d} {row['stop']}")
     print(f"fitted constant at largest delta: {out['fitted_constant']:.4f} "
           f"(target {out['sqrt_2C']:.4f})")
+    if not out["pass"]:
+        print("FAIL: the largest delta is not the closest to the reference")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

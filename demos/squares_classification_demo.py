@@ -7,10 +7,13 @@ vector of CGW distances to a few reference networks, and classified with a
 k-NN vote on those feature vectors.  Side length is the class label.
 
 Scaled down from the full pipeline so it finishes in about a minute;
-raise --count for a sharper error estimate.
+raise --count for a sharper error estimate.  The script exits 1 if the test
+error at the highest label rate exceeds the error at the lowest rate: more
+labels must not classify worse.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -47,13 +50,21 @@ def main():
             feats[i, j] = c.cgw_solve(net, ref, cfg)[0]
     print(f"distance features in {time.perf_counter() - t0:.1f}s")
 
+    errors = []
     for rate in (0.2, 0.5, 0.8):
         k = min(5, max(1, int(rate * len(nets)) - 1))
         err, std = c.knn_classify(feats, labels, k=k, label_rate=rate,
                                   trials=50, seed=0)
+        errors.append(err)
         print(f"label rate {rate:.1f} (k={k}): test error {err:.3f} "
               f"+- {std:.3f}")
 
+    if errors[-1] > errors[0]:
+        print(f"FAIL: test error {errors[-1]:.3f} at rate 0.8 is above "
+              f"{errors[0]:.3f} at rate 0.2")
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

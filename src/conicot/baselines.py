@@ -1,5 +1,5 @@
-"""Balanced transport baselines: exact OT, entropic OT, GW2 by conditional
-gradient, and co-optimal transport by alternating exact OT.
+"""Balanced transport baselines: exact OT, GW2 by conditional gradient, and
+co-optimal transport by alternating exact OT.
 
 GW-type solvers are upper-bound estimators (the objective is nonconvex);
 cross-metric checks elsewhere budget a solver-gap slack and use restarts.
@@ -34,10 +34,11 @@ class Coupling:
 
 @functools.lru_cache(maxsize=32)
 def _transport_constraints(n: int, m: int):
-    """Row/column-sum equality constraints (one redundant row dropped)."""
+    """Row/column-sum equality constraints (one redundant row dropped), in
+    the compressed-column form that HiGHS takes."""
     rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
     cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    return sparse.vstack([rows, cols]).tocsr()[:-1]
+    return sparse.vstack([rows, cols]).tocsr()[:-1].tocsc()
 
 
 def _check_equal_mass(a, b):
@@ -47,10 +48,15 @@ def _check_equal_mass(a, b):
 
 
 def ot_exact(a, b, cost):
-    """Exact optimal transport by linear programming (HiGHS dual simplex).
+    """Exact optimal transport by linear programming: HiGHS through
+    `scipy.optimize.milp`, with no integrality.
 
-    Returns (Coupling, optimal value). Marginals must have equal total mass,
-    and neither side may exceed OT_EXACT_CAP points.
+    The coupling is a basic solution, a vertex of the transport polytope
+    with at most n + m - 1 positive entries, as a Frank-Wolfe step needs.
+    milp passes the problem to HiGHS with less per-call work than linprog,
+    which matters for the many tiny LPs of gw2_solve. Returns (Coupling,
+    optimal value). Marginals must have equal total mass, and neither side
+    may exceed OT_EXACT_CAP points.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -59,10 +65,9 @@ def ot_exact(a, b, cost):
     _check_equal_mass(a, b)
     if n > OT_EXACT_CAP or m > OT_EXACT_CAP:
         raise CapExceeded(f"sizes ({n},{m}) exceed cap {OT_EXACT_CAP}")
-    A_eq = _transport_constraints(n, m)
     b_eq = np.concatenate([a, b])[:-1]
-    res = optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq,
-                           bounds=(0, None), method="highs")
+    res = optimize.milp(cost.ravel(), constraints=optimize.LinearConstraint(
+        _transport_constraints(n, m), b_eq, b_eq))
     if not res.success:
         raise MassMismatch(f"LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(n, m), 0.0)
@@ -83,43 +88,6 @@ def _round_to_polytope(pi, a, b):
     if s > 0:
         pi = pi + np.outer(ea, eb) / s
     return pi
-
-
-def sinkhorn(a, b, cost, reg: float, iters: int = 500):
-    """Entropic OT with rounding to the transport polytope.
-
-    Returns (Coupling, value, converged flag); on non-convergence the best
-    iterate is rounded and returned with the flag set False.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    # log-domain iterations for stability
-    loga = np.log(np.where(a > 0, a, 1.0))
-    logb = np.log(np.where(b > 0, b, 1.0))
-    converged = False
-    f = np.zeros_like(a)
-    g = np.zeros_like(b)
-    pi = np.outer(a, b)
-    for _ in range(iters):
-        Mf = (-cost + g[None, :]) / reg
-        f = np.where(a > 0, reg * (loga - _logsumexp(Mf, 1)), 0.0)
-        Mg = (-cost + f[:, None]) / reg
-        g = np.where(b > 0, reg * (logb - _logsumexp(Mg, 0)), 0.0)
-        pi = np.exp((f[:, None] + g[None, :] - cost) / reg) * np.outer(a > 0, b > 0)
-        err = np.abs(pi.sum(axis=1) - a).sum() + np.abs(pi.sum(axis=0) - b).sum()
-        if err < 1e-10:
-            converged = True
-            break
-    pi = _round_to_polytope(pi, a, b)
-    return Coupling(pi, a, b), float((pi * cost).sum()), converged
-
-
-def _logsumexp(M, axis):
-    mx = M.max(axis=axis, keepdims=True)
-    return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
 
 
 def _gw_linear_term(wx, wy, pi):

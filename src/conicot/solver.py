@@ -145,8 +145,10 @@ def _tight(W, target, axis):
     one closed-form step of the block ascent: every block update, projection
     and UOT step ends here.
     """
-    s = W.sum(axis=axis - 2)
-    r = np.divide(target, s, out=np.zeros_like(s), where=s > 0)
+    # np.add.reduce and np.zeros skip the Python wrappers of ndarray.sum and
+    # np.zeros_like: this step runs thousands of times on tiny blocks
+    s = np.add.reduce(W, axis=axis - 2)
+    r = np.divide(target, s, out=np.zeros(s.shape), where=s > 0)
     return W * (r[..., None] if axis == 1 else r[..., None, :])
 
 
@@ -186,7 +188,7 @@ def update_block(partner, K, row_target, col_target):
 
 def _totals(X):
     """The sum of each slice of a stack."""
-    return X.reshape(len(X), -1).sum(axis=1)
+    return np.add.reduce(X.reshape(len(X), -1), axis=1)
 
 
 def _ascend(state, F, sweep, max_iters, rel_tol):
@@ -199,33 +201,38 @@ def _ascend(state, F, sweep, max_iters, rel_tol):
     "max_iters". A restart that stops while others go on has its arrays
     copied out, and the stack is compacted then. Returns one
     (state, objective trace, stop) per restart, in stack order.
+
+    The stop rule runs on Python floats: a stack holds a few restarts, and
+    for so few numbers each numpy call costs more than its arithmetic.
     """
-    traces = [[f] for f in F.tolist()]
+    F = F.tolist()
+    traces = [[f] for f in F]
     out = [None] * len(traces)
-    live = np.arange(len(traces))
+    live = list(range(len(traces)))
 
     def leave(done, stop):
         nonlocal live
-        rest = ~done
-        copy = rest.any()  # restarts that leave last keep views of the stack
+        rest = [not d for d in done]
+        copy = any(rest)  # restarts that leave last keep views of the stack
         arrays = vars(state)
         for pos in np.flatnonzero(done):
             own = {k: X[pos].copy() if copy else X[pos] for k, X in arrays.items()}
             out[live[pos]] = (type(state)(**own), traces[live[pos]], stop)
         for k, X in arrays.items():
-            setattr(state, k, X[rest])
-        live = live[rest]
-        return rest
+            setattr(state, k, X[np.array(rest)])
+        live = [k for k, keep in zip(live, rest) if keep]
 
     for _ in range(max_iters):
-        F_new = sweep(state)
-        for k, f in zip(live.tolist(), F_new.tolist()):
+        F_new = sweep(state).tolist()
+        for k, f in zip(live, F_new):
             traces[k].append(f)
-        done = np.abs(F_new - F) <= rel_tol * np.maximum(1.0, np.abs(F))
-        F = F_new[leave(done, "rel_tol")] if done.any() else F_new
-        if not live.size:
-            return out
-    leave(np.ones(live.size, dtype=bool), "max_iters")
+        done = [abs(f - g) <= rel_tol * max(1.0, abs(g)) for f, g in zip(F_new, F)]
+        if any(done):
+            leave(done, "rel_tol")
+            if not live:
+                return out
+        F = [f for f, d in zip(F_new, done) if not d]
+    leave([True] * len(live), "max_iters")
     return out
 
 

@@ -58,6 +58,10 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     step with the contraction fixed at Omega. Returns the distance value
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
     one feature of unit mass on each side.
+
+    The value is this distance, and so a lower bound, only once the ascent
+    has converged (report.converged True). An ascent stopped at max_iters
+    holds a G below G*, so its value can be too large.
     """
     if max_iters < 0:
         raise NegativeArgument(f"max_iters = {max_iters} is below 0")
@@ -97,7 +101,10 @@ def _monotone_plan(m, n):
 
 def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
                     kernel: ConeKernel, max_iters: int = 1000) -> UotReport:
-    """Lower bound on the conic network distance from value distributions."""
+    """Lower bound on the conic network distance from value distributions.
+
+    It is a bound only when the report's converged is True; see uot_solve.
+    """
     mu = pushforward_value_distribution(nx)
     nu = pushforward_value_distribution(ny)
     return uot_solve(mu, nu, kernel, max_iters=max_iters)

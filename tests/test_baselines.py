@@ -4,6 +4,7 @@ import conicot.baselines
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conicot import (
     BaselineConfig,
@@ -11,7 +12,6 @@ from conicot import (
     embed_network_as_hypernetwork,
     gw2_solve,
     ot_exact,
-    sinkhorn,
     validate_network,
 )
 from conicot.baselines import _gw_objective, _gw_linear_term
@@ -58,23 +58,25 @@ def test_ot_exact_errors():
         ot_exact(np.ones(600) / 600, np.ones(600) / 600, np.zeros((600, 600)))
 
 
-def test_sinkhorn_close_to_exact(rng):
-    n = 6
-    cost = rng.uniform(size=(n, n))
-    a = rng.uniform(0.5, 1.5, size=n)
-    a = a / a.sum()
-    b = rng.uniform(0.5, 1.5, size=n)
-    b = b / b.sum()
-    _, exact = ot_exact(a, b, cost)
-    coupling, value, _ = sinkhorn(a, b, cost, reg=1e-3, iters=5000)
-    assert coupling.feasible(tol=1e-8)
-    assert value >= exact - 1e-9
-    assert value <= exact + 0.05 * max(exact, 1e-3)
-
-
-def test_sinkhorn_rejects_bad_reg():
-    with pytest.raises(ValueError):
-        sinkhorn([1.0], [1.0], np.zeros((1, 1)), reg=0.0)
+@pytest.mark.parametrize("shape", [(2, 1), (3, 7), (6, 4)])
+def test_ot_exact_returns_a_feasible_optimal_vertex(shape):
+    # the Frank-Wolfe step of gw2_solve relies on a vertex of the transport
+    # polytope: a basic solution has at most n + m - 1 positive entries
+    n, m = shape
+    for trial in range(10):
+        r = np.random.default_rng([n, m, trial])
+        a = r.uniform(0.5, 1.5, size=n)
+        b = r.uniform(0.5, 1.5, size=m)
+        b *= a.sum() / b.sum()
+        cost = r.uniform(size=shape)
+        coupling, value = ot_exact(a, b, cost)
+        assert coupling.feasible()
+        assert np.count_nonzero(coupling.matrix > 0) <= n + m - 1
+        # every row and column sum, built apart from _transport_constraints
+        A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+        reference = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                                           bounds=(0, None), method="highs")
+        assert value == pytest.approx(reference.fun, abs=1e-10)
 
 
 def test_gw_linear_term_matches_loop(rng):
