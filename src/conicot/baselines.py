@@ -11,9 +11,8 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy import optimize, sparse
 
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
+from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _validated
 from .errors import CapExceeded, MassMismatch, NegativeArgument
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
@@ -36,6 +35,7 @@ class Coupling:
 def _transport_constraints(n: int, m: int):
     """Row/column-sum equality constraints (one redundant row dropped), in
     the compressed-column form that HiGHS takes."""
+    from scipy import sparse
     rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
     cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
     return sparse.vstack([rows, cols]).tocsr()[:-1].tocsc()
@@ -56,8 +56,10 @@ def ot_exact(a, b, cost):
     milp passes the problem to HiGHS with less per-call work than linprog,
     which matters for the many tiny LPs of gw2_solve. Returns (Coupling,
     optimal value). Marginals must have equal total mass, and neither side
-    may exceed OT_EXACT_CAP points.
+    may exceed OT_EXACT_CAP points. scipy.optimize and scipy.sparse are
+    imported on the first call, not with conicot.
     """
+    from scipy import optimize
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
@@ -123,9 +125,10 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     The GW objective is quadratic in the coupling, so a step's slope is the
     gradient against the step and its new objective follows in closed form.
     Returns (value, Coupling); value includes the 1/2 prefactor of the
-    distance definition.
+    distance definition. Inputs are checked as validate_network checks raw data.
     """
     config = config or BaselineConfig()
+    nx, ny = _validated(nx), _validated(ny)
     a, b = nx.weights, ny.weights
     _check_equal_mass(a, b)
     wx, wy = nx.kernel, ny.kernel
@@ -166,9 +169,10 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     """Co-optimal transport by alternating exact OT on the two couplings.
 
     Returns (value, sample Coupling, feature Coupling); value includes the
-    1/2 prefactor.
+    1/2 prefactor. Inputs are checked as validate_hypernetwork checks raw data.
     """
     config = config or BaselineConfig()
+    hx, hy = _validated(hx), _validated(hy)
     a, b = hx.sample_weights, hy.sample_weights
     ap, bp = hx.feature_weights, hy.feature_weights
     _check_equal_mass(a, b)

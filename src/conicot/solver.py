@@ -21,7 +21,7 @@ import types
 import numpy as np
 
 from .cone import ConeKernel, _ccot_d2
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, embed_network_as_hypernetwork
+from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _embedded, _validated
 from .errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
 from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorMode,
                      TensorPolicy, build_tensor, contract, kernel_pd_check)
@@ -367,11 +367,12 @@ def bca_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     The restarts sweep in stacks of as many as fit _BLOCK_ENTRIES entries
     per block, so small problems share each numpy call among their restarts
     and large ones run one restart at a time. The best restart is the first
-    with the largest final objective.
+    with the largest final objective. Inputs are checked as in
+    bca_solve_kernels, whose one-kernel case this is.
 
     Returns (distance, best SemiCouplingQuadruple, SolverReport).
     """
-    return _solve_group(hx, hy, [config])[0]
+    return bca_solve_kernels(hx, hy, config, [config.kernel])[0]
 
 
 def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
@@ -383,7 +384,17 @@ def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypern
     rule and best restart. Otherwise the kernels are solved one after
     another and each tensor is built on its turn, so no two large tensors
     are alive at once. Returns one (distance, quadruple, report) per kernel.
+
+    hx and hy are checked as validate_hypernetwork checks raw data, and each
+    of config.extra_inits must have the pair's shapes (DimensionMismatch).
     """
+    hx, hy = _validated(hx), _validated(hy)
+    want = ((hx.n_samples, hy.n_samples),) * 2 + ((hx.n_features, hy.n_features),) * 2
+    for extra in config.extra_inits:
+        got = tuple(np.shape(getattr(extra, name)) for name in ("A", "B", "Ap", "Bp"))
+        if got != want:
+            raise DimensionMismatch(f"extra_inits quadruple shapes {got}, expected "
+                                    f"A, B {want[0]} and A', B' {want[2]}")
     dims = hx.kernel.shape + hy.kernel.shape
     size = 1
     if config.tensor_policy.fits_dense(dims):
@@ -406,9 +417,8 @@ def cgw_solve(
     The report's wall_time covers the whole call: embedding, ascent and PD check.
     """
     t0 = time.perf_counter()
-    hx = embed_network_as_hypernetwork(nx)
-    hy = embed_network_as_hypernetwork(ny)
-    distance, quad, report = bca_solve(hx, hy, config)
+    # bca_solve validates the embeddings, so each input is checked once
+    distance, quad, report = bca_solve(_embedded(nx), _embedded(ny), config)
     norm = float((quad.A**2).sum() + (quad.B**2).sum())
     gap_ok = report.frobenius_gap < 1e-10 * max(norm, 1e-300)
     pd_ok = False

@@ -27,6 +27,8 @@ entries of which at most 1/16 are nonzero (kNN adjacency), and a plain
 ndarray otherwise (small or many-bin kernels); the same products serve both.
 XG and Ys are stored when together they fit in `max_dense_bytes`; otherwise
 the y-bins are split into chunks that each fit, built on every contraction.
+scipy.sparse is imported by the first build that stores a CSR factor, so a
+dense solve never loads it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import sparse
 
 from .cone import ConeKernel, omega_eval, omega_of_gap
 from .core import DiscreteMeasureHypernetwork
@@ -294,6 +295,7 @@ def _store(shape, rows, cols, values):
     keep = values != 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
     if _is_sparse(*shape, values.size):
+        from scipy import sparse
         return sparse.csr_array((values, (rows, cols)), shape=shape)
     out = np.zeros(shape)
     out[rows, cols] = values

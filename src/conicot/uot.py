@@ -14,7 +14,7 @@ import types
 import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
-from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
+from .core import DiscreteMeasureNetwork, DiscreteValueMeasure, _validated
 from .errors import NegativeArgument
 from .solver import (_ascend, _product_pair, _project_pair, _totals,
                      ccot_distance_from_objective, update_block)
@@ -104,7 +104,8 @@ def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     """Lower bound on the conic network distance from value distributions.
 
     It is a bound only when the report's converged is True; see uot_solve.
+    Inputs are checked as validate_network checks raw data.
     """
-    mu = pushforward_value_distribution(nx)
-    nu = pushforward_value_distribution(ny)
+    mu = pushforward_value_distribution(_validated(nx))
+    nu = pushforward_value_distribution(_validated(ny))
     return uot_solve(mu, nu, kernel, max_iters=max_iters)

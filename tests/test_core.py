@@ -7,9 +7,12 @@ from conicot import (
     DiscreteMeasureHypernetwork,
     DiscreteMeasureNetwork,
     SolverConfig,
+    bca_solve,
     cgw_lower_bound,
     cgw_solve,
+    cot_solve,
     embed_network_as_hypernetwork,
+    gw2_solve,
     load_json,
     make_kernel,
     scale_measure,
@@ -17,6 +20,9 @@ from conicot import (
     validate_hypernetwork,
     validate_network,
 )
+from conicot import solver
+from conicot.solver import bca_solve_kernels
+from conicot.tensor import build_tensor
 from conicot.errors import (
     LengthMismatch,
     NegativeScale,
@@ -160,3 +166,85 @@ def test_load_json_unknown_type(tmp_path):
     p.write_text(json.dumps({"type": "mystery"}))
     with pytest.raises(ValueError):
         load_json(p)
+
+
+# Networks and hypernetworks built by their constructors skip validation; every
+# solver entry point checks its inputs as validate_network /
+# validate_hypernetwork check raw data, with the same error types and indices.
+
+_K3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+
+def _defect(case):
+    """(weights, kernel, expected error, expected index) of one defect."""
+    w, k = np.array([0.5, 0.1, 0.6]), _K3.copy()
+    if case == "negative_weight":
+        w[1] = -0.1
+        return w, k, NegativeWeight, 1
+    if case == "nan_weight":
+        w[2] = np.nan
+        return w, k, NonFiniteEntry, 2
+    if case == "nan_kernel":
+        k[0, 2] = np.nan
+        return w, k, NonFiniteEntry, (0, 2)
+    return w, k[:2], NonSquareKernel, None  # a kernel of the wrong shape
+
+
+_DEFECTS = ["negative_weight", "nan_weight", "nan_kernel", "shape_mismatch"]
+
+
+def _raises_like_validation(call, case, *, network):
+    w, k, error, index = _defect(case)
+    with pytest.raises(error) as exc:
+        if network:
+            validate_network(w, k)
+        else:
+            validate_hypernetwork(w, w, k)
+    if index is not None:
+        assert exc.value.index == index
+    bad = DiscreteMeasureNetwork(w, k) if network else DiscreteMeasureHypernetwork(w, w, k)
+    good = validate_network(np.full(3, 0.4), _K3)
+    if not network:
+        good = embed_network_as_hypernetwork(good)
+    with pytest.raises(error) as exc:
+        call(bad, good)
+    if index is not None:
+        assert exc.value.index == index
+
+
+_CONFIG = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=1, max_iters=5)
+
+
+@pytest.mark.parametrize("case", _DEFECTS)
+@pytest.mark.parametrize("solve", ["bca_solve", "bca_solve_kernels", "cot_solve"])
+def test_hypernetwork_solvers_validate_hand_built_inputs(solve, case):
+    calls = {
+        "bca_solve": lambda hx, hy: bca_solve(hx, hy, _CONFIG),
+        "bca_solve_kernels": lambda hx, hy: bca_solve_kernels(
+            hx, hy, _CONFIG, [make_kernel("exp", d) for d in (0.5, 2.0)]),
+        "cot_solve": lambda hx, hy: cot_solve(hx, hy),
+    }
+    _raises_like_validation(calls[solve], case, network=False)
+
+
+@pytest.mark.parametrize("case", _DEFECTS)
+@pytest.mark.parametrize("solve", ["cgw_solve", "cgw_lower_bound", "gw2_solve"])
+def test_network_solvers_validate_hand_built_inputs(solve, case):
+    calls = {
+        "cgw_solve": lambda nx, ny: cgw_solve(nx, ny, _CONFIG),
+        "cgw_lower_bound": lambda nx, ny: cgw_lower_bound(nx, ny, _CONFIG.kernel),
+        "gw2_solve": lambda nx, ny: gw2_solve(nx, ny),
+    }
+    _raises_like_validation(calls[solve], case, network=True)
+
+
+def test_solver_validation_shares_validated_arrays(monkeypatch):
+    # validation of a validated input hands the solver the very same arrays
+    net = validate_network(np.full(3, 0.4), _K3)
+    h = embed_network_as_hypernetwork(net)
+    seen = []
+    monkeypatch.setattr(solver, "build_tensor",
+                        lambda hx, hy, *a: seen.append((hx, hy)) or build_tensor(hx, hy, *a))
+    bca_solve(h, h, _CONFIG)
+    (hx, hy), = seen
+    assert hx.kernel is h.kernel and hx.sample_weights is h.sample_weights

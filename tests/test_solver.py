@@ -507,3 +507,13 @@ def test_large_kernels_are_solved_one_tensor_at_a_time(monkeypatch):
     for d, (dist, _, report) in zip((0.5, 2.0, 8.0), solves):
         alone, _, rep = bca_solve(hx, hy, dataclasses.replace(cfg, kernel=make_kernel("exp", d)))
         assert dist == alone and report.restarts == rep.restarts
+
+
+def test_extra_init_of_the_wrong_shape_names_the_expected_shapes(rng):
+    # a 3x3 quadruple for a 3x4 pair would broadcast in the pair step
+    hx, hy = random_hypernetwork(rng, 3, 2), random_hypernetwork(rng, 4, 2)
+    bad = SemiCouplingQuadruple(*(np.full((3, 3), 0.1) for _ in range(2)),
+                                *(np.full((2, 2), 0.1) for _ in range(2)))
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), extra_inits=[bad])
+    with pytest.raises(DimensionMismatch, match=r"\(3, 4\).*\(2, 2\)"):
+        bca_solve(hx, hy, cfg)
