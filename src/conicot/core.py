@@ -30,6 +30,8 @@ def _check_weights(w, name="weights"):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise NonSquareKernel(f"{name} must be a vector")
+    if w.size == 0:
+        raise NonSquareKernel(f"{name} is empty")
     finite = np.isfinite(w)
     if not finite.all():
         raise NonFiniteEntry(int(np.flatnonzero(~finite)[0]))

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateSplit,
     EmptyCorrespondence,
     InsufficientMass,
+    NegativeArgument,
     PlacementFailure,
 )
 
@@ -178,6 +179,9 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
     Returns (mean error, std error) over trials. Euclidean metric on the
     feature rows; vote ties resolved toward the smaller label.
     """
+    for name, value in (("k", k), ("trials", trials)):
+        if value < 1:
+            raise NegativeArgument(f"{name} = {value} is below 1")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     classes = np.unique(labels)

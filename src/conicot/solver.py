@@ -36,11 +36,6 @@ class SemiCouplingQuadruple:
     Ap: np.ndarray
     Bp: np.ndarray
 
-    def copy(self):
-        return SemiCouplingQuadruple(
-            self.A.copy(), self.B.copy(), self.Ap.copy(), self.Bp.copy()
-        )
-
     def scaled(self, r: float):
         return SemiCouplingQuadruple(r * self.A, r * self.B, r * self.Ap, r * self.Bp)
 
@@ -120,11 +115,14 @@ def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor) -> float:
     return float((np.sqrt(quad.A * quad.B) * P).sum())
 
 
-def ccot_distance_from_objective(F_star: float, masses, delta: float,
-                                 negative_clamp: float = 1e-12) -> float:
+# squared distances this far below zero, relative to the mass term, are round-off
+NEGATIVE_CLAMP = 1e-12
+
+
+def ccot_distance_from_objective(F_star: float, masses, delta: float) -> float:
     """sqrt of the squared distance at objective F*; round-off below zero clamps to 0."""
     d2 = _ccot_d2(F_star, masses, delta)
-    if d2 < -negative_clamp * max(1.0, abs(_ccot_d2(0.0, masses, delta))):
+    if d2 < -NEGATIVE_CLAMP * max(1.0, abs(_ccot_d2(0.0, masses, delta))):
         raise NegativeSquaredDistance(f"distance^2 = {d2}")
     return float(np.sqrt(max(d2, 0.0)))
 

@@ -26,7 +26,8 @@ Dx, Dy, XG and Ys is a scipy.sparse CSR array when it has at least 2^16
 entries of which at most 1/16 are nonzero (kNN adjacency), and a plain
 ndarray otherwise (small or many-bin kernels); the same products serve both.
 XG and Ys are stored when together they fit in `max_dense_bytes`; otherwise
-the y-bins are split into chunks that each fit, built on every contraction.
+the y-bins are split into chunks that each fit, built on every contraction
+from the bin ids xi and yi, which only such a tensor keeps.
 scipy.sparse is imported by the first build that stores a CSR factor, so a
 dense solve never loads it.
 """
@@ -82,34 +83,13 @@ class DistortionTensor:
     matrix: np.ndarray | None = None
     x_values: np.ndarray | None = None
     y_values: np.ndarray | None = None
-    x_indicator: np.ndarray | None = None  # n x n' bin ids into x_values
-    y_indicator: np.ndarray | None = None  # m x m' bin ids into y_values
     omega_table: np.ndarray | None = None  # |U| x |V|
     quantization_error: float = 0.0
     background: tuple | None = None  # most frequent (x bin, y bin)
     offsets: tuple | None = None  # (Dx, Dy): alpha[xi] (n x n'), beta[yi] (m x m')
     bin_chunks: list | None = None  # non-background y-bin ids, one array per chunk
     factors: list | None = None  # (XG, Ys) per chunk; None when built per call
-
-    @property
-    def dense(self) -> np.ndarray | None:
-        """The dense matrix as a no-copy 4D (i, j, k, l) view; None when factored."""
-        if self.matrix is None:
-            return None
-        n, np_, m, mp = self.dims
-        return self.matrix.reshape(n, m, np_, mp).transpose(0, 2, 1, 3)
-
-    def densify(self) -> np.ndarray:
-        """The tensor as a 4D (i, j, k, l) array.
-
-        Dense: a no-copy view of the matrix. Factored: the quantized table
-        materialized.
-        """
-        if self.mode is TensorMode.Dense:
-            return self.dense
-        return self.omega_table[
-            self.x_indicator[:, :, None, None], self.y_indicator[None, None, :, :]
-        ]
+    indicators: tuple | None = None  # bin ids (xi, yi) to build factors per call from
 
     def slice_sums(self):
         """(Sigma_jl T_ijkl as n x m, Sigma_ik T_ijkl as n' x m')."""
@@ -251,14 +231,13 @@ def build_tensor(
         dims=dims,
         x_values=xv,
         y_values=yv,
-        x_indicator=xid,
-        y_indicator=yid,
         omega_table=table,
         quantization_error=float(qerr),
         background=(a, b),
         offsets=offsets,
         bin_chunks=chunks,
         factors=factors,
+        indicators=None if fits else (xid, yid),
     )
 
 
@@ -370,8 +349,8 @@ def _contract_factored(tensor: DistortionTensor, side: Side, M: np.ndarray) -> n
     factors = tensor.factors
     if factors is None:
         gamma = _split_table(tensor.omega_table, a, b)[2]
-        xs = _off_background(tensor.x_indicator, a)
-        ys = _off_background(tensor.y_indicator, b)
+        xid, yid = tensor.indicators
+        xs, ys = _off_background(xid, a), _off_background(yid, b)
         factors = (_factors(tensor.dims, xs, ys, gamma, c) for c in tensor.bin_chunks)
     Dx, Dy = tensor.offsets
     rows, cols = M.sum(axis=1), M.sum(axis=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conicot import validate_network, validate_hypernetwork
+from conicot import omega_of_gap, validate_network, validate_hypernetwork
+from conicot.tensor import _quantize
 
 
 def random_network(rng, n, unit_mass=False, kernel_diameter=None):
@@ -24,6 +25,22 @@ def random_hypernetwork(rng, n, m, unit_mass=False):
         a = a / a.sum()
         ap = ap / ap.sum()
     return validate_hypernetwork(a, ap, k)
+
+
+def tensor_oracle(hx, hy, kernel, bins=None):
+    """T[i, j, k, l] = Omega(|wx[i, j] - wy[k, l]| / 2 delta) as a 4D array,
+    computed from the two kernels alone.
+
+    bins=None: the exact tensor, bit-identical to the dense build. bins=q: the
+    factored tensor of a policy with quantize_bins=q, the Omega table of the
+    _quantize bin centres indexed by the _quantize bin ids.
+    """
+    if bins is None:
+        return omega_of_gap(kernel, hx.kernel[:, :, None, None], hy.kernel[None, None])
+    xv, xid, _ = _quantize(hx.kernel, bins)
+    yv, yid, _ = _quantize(hy.kernel, bins)
+    return omega_of_gap(kernel, xv[:, None], yv[None, :])[xid[:, :, None, None],
+                                                        yid[None, None]]
 
 
 @pytest.fixture

@@ -25,9 +25,10 @@ from conicot.analysis import (
     verify_scaling,
     weak_iso_probe,
 )
-from conicot.solver import bca_solve, ccot_distance_from_objective
-from conicot.tensor import build_tensor
+from conicot.cone import _ccot_d2
+from conicot.solver import bca_solve
 from conicot.uot import cgw_lower_bound
+from tests.conftest import tensor_oracle
 
 
 # ---------------------------------------------------------------- helpers
@@ -64,7 +65,7 @@ def grid_cgw(nx, ny, kernel, res=0.02):
     """
     hx = c.embed_network_as_hypernetwork(nx)
     hy = c.embed_network_as_hypernetwork(ny)
-    Td = build_tensor(hx, hy, kernel).densify()
+    Td = tensor_oracle(hx, hy, kernel)
     Tq = np.einsum("ijkl->ikjl", Td).reshape(4, 4)
     a, b = nx.weights, ny.weights
     ts = np.arange(0.0, 1.0 + 1e-12, res)
@@ -78,8 +79,10 @@ def grid_cgw(nx, ny, kernel, res=0.02):
     A_best = A[(slice(None),) + idx].reshape(2, 2)
     B_best = B[(slice(None),) + idx].reshape(2, 2)
     masses = (a.sum(), a.sum(), b.sum(), b.sum())
-    dist = ccot_distance_from_objective(float(F[idx]), masses, kernel.delta,
-                                        negative_clamp=1e-6)
+    # round-off below zero clamps to 0, within this oracle's own 1e-6 bound
+    d2 = _ccot_d2(float(F[idx]), masses, kernel.delta)
+    assert d2 >= -1e-6 * max(1.0, abs(_ccot_d2(0.0, masses, kernel.delta)))
+    dist = float(np.sqrt(max(d2, 0.0)))
     quad = SemiCouplingQuadruple(A_best, B_best, A_best.copy(), B_best.copy())
     return dist, quad
 

@@ -18,6 +18,7 @@ from conicot import (
     weak_iso_probe,
 )
 from conicot.analysis import SLACK_ABS, SLACK_REL, slack
+from conicot.errors import NegativeArgument
 from tests.conftest import random_network
 
 
@@ -69,6 +70,14 @@ def test_robustness_probe(rng):
     assert out["pass"]
     with pytest.raises(ValueError):
         robustness_probe(net, eps=1.5, trials=1, config=_cfg())
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_robustness_probe_rejects_no_trials(rng, trials):
+    # a probe that runs no trial would pass having checked nothing
+    net = random_network(rng, 3, unit_mass=True)
+    with pytest.raises(NegativeArgument):
+        robustness_probe(net, eps=0.05, trials=trials, config=_cfg())
 
 
 def test_robustness_probe_paired(rng):

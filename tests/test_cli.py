@@ -105,6 +105,16 @@ def test_invalid_network_exits_one(tmp_path, capsys, monkeypatch):
     assert "negative_weight" in err
 
 
+def test_empty_side_exits_one(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "measure_hypernetwork", "sample_weights": [1.0],
+                               "feature_weights": [], "kernel": [[]]}))
+    code, out, err = _run_in(tmp_path, ["ccot", str(bad), str(bad)], capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: non_square_kernel: feature_weights is empty")
+
+
 def test_verify_fragility(tmp_path, capsys, monkeypatch):
     code, out, _ = _run_in(tmp_path, ["verify", "fragility", "--eps", "0.1",
                                       "--f-eps", "1.0"], capsys, monkeypatch)
@@ -218,6 +228,28 @@ def test_classify_command(tmp_path, capsys, monkeypatch):
         capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["mean_error"] == 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "-1"), ("--k", "0"), ("--trials", "0")])
+def test_classify_rejects_k_or_trials_below_one(tmp_path, flag, value, capsys,
+                                                monkeypatch):
+    fp, lp = tmp_path / "f.csv", tmp_path / "l.csv"
+    np.savetxt(fp, np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
+    np.savetxt(lp, np.array([0, 1] * 10), delimiter=",")
+    argv = ["classify", "--features", str(fp), "--labels", str(lp), "--k", "3",
+            "--label-rate", "0.5", "--trials", "5", flag, value]
+    code, out, err = _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: negative_argument")
+
+
+def test_verify_robustness_rejects_zero_trials(tmp_path, net_files, capsys, monkeypatch):
+    code, out, err = _run_in(tmp_path, ["verify", "robustness", net_files[0],
+                                        "--trials", "0"], capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: negative_argument")
 
 
 def test_bench_command(tmp_path, capsys, monkeypatch):

@@ -84,6 +84,19 @@ def test_validate_network_shape_checks():
         validate_network([1.0, 1.0, 1.0], np.zeros((2, 2)))
 
 
+def test_validators_reject_an_empty_side():
+    with pytest.raises(NonSquareKernel, match="weights is empty"):
+        validate_network(np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(NonSquareKernel, match="feature_weights is empty"):
+        validate_hypernetwork([1.0], [], [[]])
+    with pytest.raises(NonSquareKernel, match="sample_weights is empty"):
+        validate_hypernetwork([], [1.0], np.zeros((0, 1)))
+    # a hand-built empty network meets the same check in the solver
+    empty = DiscreteMeasureNetwork(np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(NonSquareKernel, match="weights is empty"):
+        cgw_lower_bound(empty, empty, make_kernel("exp", 0.5))
+
+
 def test_zero_weights_allowed():
     net = validate_network([0.0, 1.0], np.ones((2, 2)))
     assert net.mass == pytest.approx(1.0)

@@ -14,6 +14,7 @@ from conicot.errors import (
     DegenerateSplit,
     EmptyCorrespondence,
     InsufficientMass,
+    NegativeArgument,
     PlacementFailure,
 )
 from tests.conftest import random_network
@@ -147,6 +148,15 @@ def test_knn_classify_degenerate():
         knn_classify(feats, labels, k=1, label_rate=0.01, trials=1)
     with pytest.raises(DegenerateSplit):
         knn_classify(feats, labels, k=5, label_rate=0.5, trials=1)
+
+
+@pytest.mark.parametrize("k, trials", [(0, 1), (-1, 1), (3, 0), (3, -2)])
+def test_knn_classify_rejects_k_or_trials_below_one(rng, k, trials):
+    # k = -1 would vote with all but one training point, trials = 0 average nothing
+    feats = rng.normal(size=(20, 2))
+    labels = np.array([0, 1] * 10)
+    with pytest.raises(NegativeArgument):
+        knn_classify(feats, labels, k=k, label_rate=0.5, trials=trials)
 
 
 def test_perturb_measure(rng):

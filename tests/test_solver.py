@@ -64,10 +64,10 @@ def test_block_update_beats_random_candidates(rng, block):
     _, _, tensor, marginals, _, quad = _setup(rng)
     field, idx, axis = _BLOCKS[block]
     _, (first, second) = _pair_step(quad, tensor, marginals, block)
-    base = quad.copy()
+    base = dataclasses.replace(quad)
     if axis == 0:
         setattr(base, {"B": "A", "Bprime": "Ap"}[block], first)
-    held = base.copy()
+    held = dataclasses.replace(base)
     setattr(base, field, first if axis == 1 else second)
     best = objective_F(base, tensor)
     target = marginals[idx]
@@ -77,7 +77,7 @@ def test_block_update_beats_random_candidates(rng, block):
             cand = cand / cand.sum(axis=1, keepdims=True) * target[:, None]
         else:
             cand = cand / cand.sum(axis=0, keepdims=True) * target[None, :]
-        trial = held.copy()
+        trial = dataclasses.replace(held)
         setattr(trial, field, cand)
         assert objective_F(trial, tensor) <= best + 1e-10 * max(1.0, best)
 
@@ -86,13 +86,13 @@ def test_block_update_grid_oracle_1d(rng):
     # a 2-column A row is a 1-parameter family; fine grid confirms the optimum
     _, _, tensor, marginals, _, quad = _setup(rng, dims=(2, 2, 2, 2))
     _, (new, _) = _pair_step(quad, tensor, marginals, "A")
-    base = quad.copy()
+    base = dataclasses.replace(quad)
     base.A = new
     best = objective_F(base, tensor)
     a = marginals[0]
     for t0 in np.linspace(0, 1, 201):
         for t1 in np.linspace(0, 1, 21):
-            trial = quad.copy()
+            trial = dataclasses.replace(quad)
             trial.A = np.array([[t0 * a[0], (1 - t0) * a[0]],
                                 [t1 * a[1], (1 - t1) * a[1]]])
             assert objective_F(trial, tensor) <= best + 1e-9
@@ -111,9 +111,9 @@ def test_bprime_update_uses_complementary_matrix(rng):
     # the variant built from B' would score strictly worse here
     Wwrong = quad.Bp * Q * Q
     wrong = bp[None, :] * Wwrong / Wwrong.sum(axis=0, keepdims=True)
-    good = quad.copy()
+    good = dataclasses.replace(quad)
     good.Ap, good.Bp = Ap, new
-    bad = quad.copy()
+    bad = dataclasses.replace(quad)
     bad.Ap, bad.Bp = Ap, wrong
     assert objective_F(good, tensor) > objective_F(bad, tensor)
 
@@ -295,7 +295,7 @@ def test_objective_homogeneity(rng):
 
 def test_objective_shape_check(rng):
     _, _, tensor, _, _, quad = _setup(rng)
-    bad = quad.copy()
+    bad = dataclasses.replace(quad)
     bad.A = np.zeros((7, 7))
     with pytest.raises(DimensionMismatch):
         objective_F(bad, tensor)

@@ -15,19 +15,19 @@ from conicot import (
     kernel_pd_check,
     make_kernel,
     omega_eval,
+    omega_of_gap,
     validate_hypernetwork,
 )
 from conicot.errors import (BudgetTooSmallForEitherPath, DimensionMismatch, NegativeArgument,
                             NonFinite)
 from conicot.tensor import _omega_matrix, _quantize
-from tests.conftest import random_hypernetwork, random_network
+from tests.conftest import random_hypernetwork, random_network, tensor_oracle
 
 
-def _dense_reference(hx, hy, kernel):
-    gaps = np.abs(hx.kernel[:, :, None, None] - hy.kernel[None, None, :, :])
-    from conicot import omega_eval
-
-    return np.asarray(omega_eval(kernel, gaps / (2 * kernel.delta)))
+def _as_matrix(T):
+    """A 4D (i, j, k, l) tensor in the dense layout: rows (i, k), columns (j, l)."""
+    n, np_, m, mp = T.shape
+    return T.transpose(0, 2, 1, 3).reshape(n * m, np_ * mp)
 
 
 def test_dense_tensor_matches_loop(rng):
@@ -36,8 +36,8 @@ def test_dense_tensor_matches_loop(rng):
     k = make_kernel("exp", 0.5)
     t = build_tensor(hx, hy, k)
     assert t.mode is TensorMode.Dense
-    ref = _dense_reference(hx, hy, k)
-    assert np.allclose(t.dense, ref)
+    ref = tensor_oracle(hx, hy, k)
+    assert np.allclose(t.matrix, _as_matrix(ref))
 
 
 @pytest.mark.parametrize("side", [Side.SampleSide, Side.FeatureSide])
@@ -46,7 +46,7 @@ def test_dense_contract_matches_einsum(rng, side):
     hy = random_hypernetwork(rng, 5, 2)
     k = make_kernel("cos", 0.7)
     t = build_tensor(hx, hy, k)
-    T = _dense_reference(hx, hy, k)
+    T = tensor_oracle(hx, hy, k)
     if side is Side.SampleSide:
         M = rng.uniform(size=(3, 2))
         ref = np.einsum("ijkl,jl->ik", T, M)
@@ -64,9 +64,8 @@ def test_dense_matrix_layout_rectangular(rng, family):
     t = build_tensor(hx, hy, k)
     assert t.matrix.flags.c_contiguous
     assert t.matrix.shape == (4 * 5, 3 * 2)
-    assert np.shares_memory(t.dense, t.matrix)
-    T = _dense_reference(hx, hy, k)
-    assert np.array_equal(t.dense, T)
+    T = tensor_oracle(hx, hy, k)
+    assert np.array_equal(t.matrix, _as_matrix(T))
     M = rng.uniform(size=(3, 2))
     assert np.allclose(contract(t, Side.SampleSide, M),
                        np.einsum("ijkl,jl->ik", T, M), atol=1e-12)
@@ -165,7 +164,8 @@ def test_factored_exact_for_few_distinct_values(rng):
         W = rng.uniform(size=shape)
         assert np.allclose(contract(tf, side, W), contract(td, side, W),
                            atol=1e-12)
-    assert np.allclose(tf.densify(), td.densify(), atol=1e-14)
+    assert np.allclose(tensor_oracle(hx, hy, k, bins=64), tensor_oracle(hx, hy, k),
+                       atol=1e-14)
 
 
 def test_factored_quantized_within_error_bound(rng):
@@ -173,10 +173,9 @@ def test_factored_quantized_within_error_bound(rng):
     hy = random_hypernetwork(rng, 6, 6)
     k = make_kernel("exp", 0.5)
     tf = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=2048, quantize_bins=8))
-    td = build_tensor(hx, hy, k)
     assert tf.quantization_error > 0.0
     # every entry of the quantized tensor is within the advertised bound
-    gap = np.abs(tf.densify() - td.densify()).max()
+    gap = np.abs(tensor_oracle(hx, hy, k, bins=8) - tensor_oracle(hx, hy, k)).max()
     assert gap <= tf.quantization_error + 1e-12
 
 
@@ -222,9 +221,9 @@ def test_quantize_matches_sort_and_search(rng, kind):
 def test_slice_sums(rng):
     hx = random_hypernetwork(rng, 3, 4)
     hy = random_hypernetwork(rng, 2, 5)
-    t = build_tensor(hx, hy, make_kernel("cos", 0.9))
-    samp, feat = t.slice_sums()
-    T = t.densify()
+    k = make_kernel("cos", 0.9)
+    samp, feat = build_tensor(hx, hy, k).slice_sums()
+    T = tensor_oracle(hx, hy, k)
     assert np.allclose(samp, T.sum(axis=(1, 3)))
     assert np.allclose(feat, T.sum(axis=(0, 2)))
 
@@ -250,9 +249,8 @@ def _assert_close(got, ref):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _assert_contracts_match_einsum(rng, t):
-    """Both contractions equal einsum over the tensor's own densify()."""
-    T = t.densify()
+def _assert_contracts_match_einsum(rng, t, T):
+    """Both contractions equal einsum over the 4D oracle T."""
     n, np_, m, mp = t.dims
     M = rng.uniform(size=(np_, mp))
     _assert_close(contract(t, Side.SampleSide, M), np.einsum("ijkl,jl->ik", T, M))
@@ -265,62 +263,90 @@ def test_factored_binary_adjacency(rng, ones, background):
     # 2-bin 0/1 kernels; when they are mostly ones the background is not bin 0
     hx = _hyper(rng, (rng.uniform(size=(9, 7)) < ones).astype(float))
     hy = _hyper(rng, (rng.uniform(size=(6, 8)) < ones).astype(float))
-    t = build_tensor(hx, hy, make_kernel("cos", 0.4), TensorPolicy(max_dense_bytes=4096))
+    k = make_kernel("cos", 0.4)
+    t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=4096))
     assert t.mode is TensorMode.Factored
     assert t.background == background
     assert [c.tolist() for c in t.bin_chunks] == [[1 - background[1]]]
-    _assert_contracts_match_einsum(rng, t)
+    _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
 def test_factored_rectangular_quantized(rng):
     # more than 64 distinct values on both sides: 64 equal-width bins each
     hx = random_hypernetwork(rng, 20, 10)
     hy = random_hypernetwork(rng, 15, 14)
-    t = build_tensor(hx, hy, make_kernel("exp", 0.5),
-                     TensorPolicy(max_dense_bytes=300_000, quantize_bins=64))
+    k = make_kernel("exp", 0.5)
+    t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=300_000, quantize_bins=64))
     assert t.mode is TensorMode.Factored
     assert t.quantization_error > 0.0
     assert t.x_values.size == t.y_values.size == 64
     assert t.factors is not None and len(t.factors) == 1
-    _assert_contracts_match_einsum(rng, t)
+    _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
 def test_factored_single_bin_constant_kernel(rng):
     hx = _hyper(rng, np.full((5, 4), 0.3))
     hy = _hyper(rng, np.full((6, 3), 0.7))
-    t = build_tensor(hx, hy, make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=1024))
+    k = make_kernel("exp", 0.5)
+    t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=1024))
     assert t.mode is TensorMode.Factored
     assert t.bin_chunks == [] and t.factors == []
-    _assert_contracts_match_einsum(rng, t)
+    _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
 def test_factored_sparse_storage_matches_einsum(rng):
     # sparse x kernel against 63 non-background y-bins: XG and Ys are CSR
     hx = _hyper(rng, (rng.uniform(size=(40, 30)) < 0.04).astype(float))
     hy = random_hypernetwork(rng, 40, 30)
-    t = build_tensor(hx, hy, make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=1 << 20))
+    k = make_kernel("exp", 0.5)
+    t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=1 << 20))
     assert t.mode is TensorMode.Factored
     (XG, Ys), = t.factors
     assert sparse.issparse(XG) and sparse.issparse(Ys)
-    _assert_contracts_match_einsum(rng, t)
+    _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
 def test_factored_sparse_knn_matches_bin_pair_sum(rng):
-    # a 300-node kNN pair: every factor is CSR; densify() would need 65 GB, so
-    # the reference sums table[u, v] X_u M Y_v^T over bin pairs instead
+    # a 300-node kNN pair: every factor is CSR; the 4D oracle would need 65 GB,
+    # so the reference sums table[u, v] X_u M Y_v^T over the input's bin pairs
     kx, ky = _knn_adjacency(rng, 300, 4), _knn_adjacency(rng, 300, 4)
-    t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), make_kernel("exp", 0.5),
+    k = make_kernel("exp", 0.5)
+    t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), k,
                      TensorPolicy(max_dense_bytes=16 * 300 * 300))
     assert t.mode is TensorMode.Factored
     assert all(sparse.issparse(f) for f in (*t.offsets, *t.factors[0]))
-    X = [(t.x_indicator == u).astype(float) for u in range(t.x_values.size)]
-    Y = [(t.y_indicator == v).astype(float) for v in range(t.y_values.size)]
-    table = t.omega_table
+    (xv, xid, _), (yv, yid, _) = _quantize(kx, 64), _quantize(ky, 64)
+    X = [(xid == u).astype(float) for u in range(xv.size)]
+    Y = [(yid == v).astype(float) for v in range(yv.size)]
+    table = omega_of_gap(k, xv[:, None], yv[None, :])
     M = rng.uniform(size=(300, 300))
     ref = sum(table[u, v] * X[u] @ M @ Y[v].T for u in range(2) for v in range(2))
     _assert_close(contract(t, Side.SampleSide, M), ref)
     ref = sum(table[u, v] * X[u].T @ M @ Y[v] for u in range(2) for v in range(2))
     _assert_close(contract(t, Side.FeatureSide, M), ref)
+
+
+def _held_arrays(value):
+    """Every array in value, also inside its CSR arrays, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif sparse.issparse(value):
+        yield from (value.data, value.indices, value.indptr)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _held_arrays(v)
+
+
+def test_stored_factor_tensor_holds_no_bin_ids(rng):
+    # with its factors stored, a tensor holds them, the offsets, the bin chunks
+    # and the O(q^2) bin description; no array of n n' or m m' entries
+    kx, ky = _knn_adjacency(rng, 300, 4), _knn_adjacency(rng, 300, 4)
+    t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), make_kernel("exp", 0.5),
+                     TensorPolicy(max_dense_bytes=16 * 300 * 300))
+    assert t.factors is not None
+    sizes = [a.size for v in vars(t).values() for a in _held_arrays(v)]
+    assert sizes and max(sizes) < 300 * 300
+    assert t.indicators is None
 
 
 def test_factored_many_bins_chunked_by_budget(rng):
@@ -332,7 +358,10 @@ def test_factored_many_bins_chunked_by_budget(rng):
     assert t.mode is TensorMode.Factored
     assert t.factors is None and len(t.bin_chunks) > 1
     assert max(c.size for c in t.bin_chunks) == 2048 // 464
-    _assert_contracts_match_einsum(rng, t)
+    # the per-call factors are built from the bin ids, which only this tensor keeps
+    xid, yid = t.indicators
+    assert xid.shape == (6, 5) and yid.shape == (7, 4)
+    _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
     # exact bins: the chunked tensor is the dense one
     dense = build_tensor(hx, hy, k)
     M = rng.uniform(size=(6, 7))
