@@ -28,8 +28,8 @@ import numpy as np
 
 from .baselines import BaselineConfig, gw2_solve
 from .cone import ConeKernel, _ccot_d2, kernel_constants
-from .core import (DiscreteMeasureNetwork, _embedded, embed_network_as_hypernetwork,
-                   scale_measure, tv_gap, validate_network)
+from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_measure,
+                   tv_gap, validate_network)
 from .data import perturb_measure
 from .errors import NegativeArgument
 from .solver import (
@@ -173,7 +173,8 @@ def delta_sweep(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     C = kernel_constants(config.kernel).C
     reference = float(np.sqrt(2.0 * C) * gw_l2)
     kernels = [ConeKernel(config.kernel.family, d) for d in deltas]
-    solves = bca_solve_kernels(_embedded(nx), _embedded(ny),
+    solves = bca_solve_kernels(embed_network_as_hypernetwork(nx),
+                               embed_network_as_hypernetwork(ny),
                                _with(config, extra_inits=[_coupling_quad(pi.matrix)]),
                                kernels)
     rows = []

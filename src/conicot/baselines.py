@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _validated
+from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
 from .errors import CapExceeded, MassMismatch, NegativeArgument
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
@@ -114,7 +114,7 @@ class BaselineConfig:
 
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 0), ("tol", 0)):
-            if getattr(self, name) < low:
+            if not (getattr(self, name) >= low):  # NaN fails too
                 raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
 
 
@@ -125,10 +125,9 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     The GW objective is quadratic in the coupling, so a step's slope is the
     gradient against the step and its new objective follows in closed form.
     Returns (value, Coupling); value includes the 1/2 prefactor of the
-    distance definition. Inputs are checked as validate_network checks raw data.
+    distance definition.
     """
     config = config or BaselineConfig()
-    nx, ny = _validated(nx), _validated(ny)
     a, b = nx.weights, ny.weights
     _check_equal_mass(a, b)
     wx, wy = nx.kernel, ny.kernel
@@ -169,10 +168,9 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     """Co-optimal transport by alternating exact OT on the two couplings.
 
     Returns (value, sample Coupling, feature Coupling); value includes the
-    1/2 prefactor. Inputs are checked as validate_hypernetwork checks raw data.
+    1/2 prefactor.
     """
     config = config or BaselineConfig()
-    hx, hy = _validated(hx), _validated(hy)
     a, b = hx.sample_weights, hy.sample_weights
     ap, bp = hx.feature_weights, hy.feature_weights
     _check_equal_mass(a, b)

@@ -250,9 +250,10 @@ def bench_runner(sizes, args):
     rows = ["size,iters,stop,seconds,distance"]
     for n in sizes:
         imgs = gen_squares(2, g=4, side=3, image_size=32, seed=args.seed)
-        na, nb = (validate_network(np.full(n, 1.0 / n),
-                                   image_to_network(img, n_sample=n, knn=4, seed=s).kernel)
-                  for img, s in zip(imgs, (args.seed, args.seed + 1)))
+        # sampling first rejects a size outside (knn, pixel count] with an error
+        kernels = [image_to_network(img, n_sample=n, knn=4, seed=s).kernel
+                   for img, s in zip(imgs, (args.seed, args.seed + 1))]
+        na, nb = (validate_network(np.full(n, 1.0 / n), k) for k in kernels)
         # force the factored path: budget admits indicators but not the dense tensor
         cfg = _config(args, restarts=1,
                       policy=TensorPolicy(max_dense_bytes=16 * n * n))

@@ -21,14 +21,14 @@ class KernelFamily(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class ConeKernel:
-    """The similarity profile Omega together with the cone angle delta > 0."""
+    """The similarity profile Omega together with the cone angle 0 < delta < inf."""
 
     family: KernelFamily
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise NegativeArgument(f"delta must be positive, got {self.delta}")
+        if not (0 < self.delta < np.inf):
+            raise NegativeArgument(f"delta must be positive and finite, got {self.delta}")
 
     @property
     def lipschitz(self) -> float:

@@ -1,7 +1,10 @@
 """Domain types for measure networks / hypernetworks and basic measure operations.
 
-All types are immutable after validation (arrays have the writeable flag
-cleared) and safe to share across concurrent solver runs.
+Every type checks its fields on construction, so an object that exists is
+valid: finite nonnegative measures, finite kernels of matching shape. The
+arrays are stored as read-only float64 (the writeable flag is cleared in
+place, without a copy), so objects are safe to share across concurrent
+solver runs.
 """
 
 from __future__ import annotations
@@ -18,12 +21,6 @@ from .errors import (
     NonFiniteEntry,
     NonSquareKernel,
 )
-
-
-def _freeze(arr):
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    a.flags.writeable = False
-    return a
 
 
 def _check_weights(w, name="weights"):
@@ -46,6 +43,22 @@ def _check_kernel_entries(k):
         raise NonFiniteEntry(tuple(int(v) for v in np.argwhere(~finite)[0]))
 
 
+def _check_kernel(k, shape, expected):
+    k = np.asarray(k, dtype=np.float64)
+    if k.shape != shape:
+        raise NonSquareKernel(f"kernel shape {k.shape} incompatible with {expected}")
+    _check_kernel_entries(k)
+    return k
+
+
+def _store(obj, **arrays):
+    """Set arrays on a frozen dataclass as read-only float64, frozen in place."""
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+
+
 @dataclasses.dataclass(frozen=True)
 class DiscreteMeasureNetwork:
     """A finite point set with nonnegative weights and a bounded square kernel."""
@@ -54,6 +67,15 @@ class DiscreteMeasureNetwork:
     kernel: np.ndarray
     points: np.ndarray | None = None
     label: str | None = None
+
+    def __post_init__(self):
+        w = _check_weights(self.weights)
+        n = w.shape[0]
+        _store(self, weights=w, kernel=_check_kernel(self.kernel, (n, n), f"{n} weights"))
+        if self.points is not None:
+            _store(self, points=self.points)
+            if self.points.ndim != 2 or self.points.shape[0] != n:
+                raise NonSquareKernel("points must be an n x d matrix")
 
     @property
     def n(self) -> int:
@@ -75,12 +97,6 @@ class DiscreteMeasureNetwork:
             d["label"] = self.label
         return d
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "DiscreteMeasureNetwork":
-        return validate_network(
-            d["weights"], d["kernel"], points=d.get("points"), label=d.get("label")
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class DiscreteMeasureHypernetwork:
@@ -89,6 +105,13 @@ class DiscreteMeasureHypernetwork:
     sample_weights: np.ndarray
     feature_weights: np.ndarray
     kernel: np.ndarray
+
+    def __post_init__(self):
+        a = _check_weights(self.sample_weights, "sample_weights")
+        ap = _check_weights(self.feature_weights, "feature_weights")
+        shape = (a.shape[0], ap.shape[0])
+        _store(self, sample_weights=a, feature_weights=ap,
+               kernel=_check_kernel(self.kernel, shape, shape))
 
     @property
     def n_samples(self) -> int:
@@ -114,19 +137,22 @@ class DiscreteMeasureHypernetwork:
             "kernel": self.kernel.tolist(),
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "DiscreteMeasureHypernetwork":
-        return validate_hypernetwork(
-            d["sample_weights"], d["feature_weights"], d["kernel"]
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class DiscreteValueMeasure:
-    """A discrete measure on the real line (kernel-value pushforward)."""
+    """A discrete measure on the real line (kernel-value pushforward): finite
+    values, each with a finite nonnegative mass."""
 
     values: np.ndarray
     masses: np.ndarray
+
+    def __post_init__(self):
+        m = _check_weights(self.masses, "masses")
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.shape != m.shape:
+            raise LengthMismatch(f"values of shape {v.shape} for masses of shape {m.shape}")
+        _check_kernel_entries(v)
+        _store(self, values=v, masses=m)
 
     @property
     def total_mass(self) -> float:
@@ -134,66 +160,27 @@ class DiscreteValueMeasure:
 
 
 def validate_network(weights, kernel, points=None, label=None) -> DiscreteMeasureNetwork:
-    """Validate raw weight/kernel data and return an immutable network."""
-    w = _check_weights(weights)
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] != w.shape[0]:
-        raise NonSquareKernel(
-            f"kernel shape {k.shape} incompatible with {w.shape[0]} weights"
-        )
-    _check_kernel_entries(k)
-    pts = None
-    if points is not None:
-        pts = _freeze(points)
-        if pts.ndim != 2 or pts.shape[0] != w.shape[0]:
-            raise NonSquareKernel("points must be an n x d matrix")
-    return DiscreteMeasureNetwork(_freeze(w), _freeze(k), points=pts, label=label)
+    """An immutable network from raw weight/kernel data, checked on construction."""
+    return DiscreteMeasureNetwork(weights, kernel, points=points, label=label)
 
 
 def validate_hypernetwork(sample_weights, feature_weights, kernel) -> DiscreteMeasureHypernetwork:
-    """Validate raw data and return an immutable hypernetwork."""
-    a = _check_weights(sample_weights, "sample_weights")
-    ap = _check_weights(feature_weights, "feature_weights")
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 2 or k.shape != (a.shape[0], ap.shape[0]):
-        raise NonSquareKernel(
-            f"kernel shape {k.shape} incompatible with ({a.shape[0]}, {ap.shape[0]})"
-        )
-    _check_kernel_entries(k)
-    return DiscreteMeasureHypernetwork(
-        sample_weights=_freeze(a), feature_weights=_freeze(ap), kernel=_freeze(k)
-    )
-
-
-def _validated(obj):
-    """A network or hypernetwork, possibly built by its constructor, checked
-    as validate_network / validate_hypernetwork check raw data.
-
-    The solvers call this on their inputs; a validated object comes back
-    with the same arrays.
-    """
-    if isinstance(obj, DiscreteMeasureNetwork):
-        return validate_network(obj.weights, obj.kernel, points=obj.points, label=obj.label)
-    return validate_hypernetwork(obj.sample_weights, obj.feature_weights, obj.kernel)
+    """An immutable hypernetwork from raw data, checked on construction."""
+    return DiscreteMeasureHypernetwork(sample_weights, feature_weights, kernel)
 
 
 def scale_measure(net: DiscreteMeasureNetwork, r: float) -> DiscreteMeasureNetwork:
     """Scale the measure of a network by r >= 0, leaving the kernel unchanged."""
     if r < 0:
         raise NegativeScale(f"scale factor {r} is negative")
-    return validate_network(net.weights * r, net.kernel, points=net.points, label=net.label)
+    return DiscreteMeasureNetwork(net.weights * r, net.kernel, points=net.points, label=net.label)
 
 
 def embed_network_as_hypernetwork(net: DiscreteMeasureNetwork) -> DiscreteMeasureHypernetwork:
     """View a network as a hypernetwork with identical sample and feature axes.
 
-    Validated, so a network built without `validate_network` is checked here.
+    The hypernetwork shares the network's arrays; its constructor checks them.
     """
-    return validate_hypernetwork(net.weights, net.weights, net.kernel)
-
-
-def _embedded(net: DiscreteMeasureNetwork) -> DiscreteMeasureHypernetwork:
-    """The embedding unvalidated, for a solver that validates its inputs."""
     return DiscreteMeasureHypernetwork(net.weights, net.weights, net.kernel)
 
 
@@ -211,7 +198,9 @@ def load_json(path):
     with open(path) as f:
         d = json.load(f)
     if d.get("type") == "measure_network":
-        return DiscreteMeasureNetwork.from_json_dict(d)
+        return DiscreteMeasureNetwork(d["weights"], d["kernel"], points=d.get("points"),
+                                      label=d.get("label"))
     if d.get("type") == "measure_hypernetwork":
-        return DiscreteMeasureHypernetwork.from_json_dict(d)
+        return DiscreteMeasureHypernetwork(d["sample_weights"], d["feature_weights"],
+                                           d["kernel"])
     raise ValueError(f"unknown input type {d.get('type')!r} in {path}")

@@ -31,6 +31,9 @@ def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
     and is placed by rejection sampling; pixel intensity is the sum of the
     brightnesses of the squares covering it (zero overlap by construction).
     """
+    for name, value, low in (("count", count, 0), ("g", g, 1), ("side", side, 1)):
+        if value < low:
+            raise NegativeArgument(f"{name} = {value} is below {low}")
     rng = np.random.default_rng(seed)
     images = []
     for _ in range(count):
@@ -109,6 +112,9 @@ def gen_aligned_hypernetworks(n_cells: int, feat_x: int, feat_y: int,
     (hy cell index -> hx cell index) and 'features' (list of linked
     (x_feature, y_feature) pairs).
     """
+    for name, value in (("n_cells", n_cells), ("feat_x", feat_x), ("feat_y", feat_y)):
+        if value < 1:
+            raise NegativeArgument(f"{name} = {value} is below 1")
     if not 0 < downsample_y <= 1:
         raise ValueError("downsample_y must lie in (0, 1]")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,8 @@ import types
 import numpy as np
 
 from .cone import ConeKernel, _ccot_d2
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _embedded, _validated
+from .core import (DiscreteMeasureHypernetwork, DiscreteMeasureNetwork,
+                   embed_network_as_hypernetwork)
 from .errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
 from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorMode,
                      TensorPolicy, build_tensor, contract, kernel_pd_check)
@@ -52,7 +53,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 0), ("rel_tol", 0)):
-            if getattr(self, name) < low:
+            if not (getattr(self, name) >= low):  # NaN fails too
                 raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
 
     def echo(self) -> dict:
@@ -383,10 +384,8 @@ def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypern
     another and each tensor is built on its turn, so no two large tensors
     are alive at once. Returns one (distance, quadruple, report) per kernel.
 
-    hx and hy are checked as validate_hypernetwork checks raw data, and each
-    of config.extra_inits must have the pair's shapes (DimensionMismatch).
+    Each of config.extra_inits must have the pair's shapes (DimensionMismatch).
     """
-    hx, hy = _validated(hx), _validated(hy)
     want = ((hx.n_samples, hy.n_samples),) * 2 + ((hx.n_features, hy.n_features),) * 2
     for extra in config.extra_inits:
         got = tuple(np.shape(getattr(extra, name)) for name in ("A", "B", "Ap", "Bp"))
@@ -415,8 +414,8 @@ def cgw_solve(
     The report's wall_time covers the whole call: embedding, ascent and PD check.
     """
     t0 = time.perf_counter()
-    # bca_solve validates the embeddings, so each input is checked once
-    distance, quad, report = bca_solve(_embedded(nx), _embedded(ny), config)
+    distance, quad, report = bca_solve(embed_network_as_hypernetwork(nx),
+                                       embed_network_as_hypernetwork(ny), config)
     norm = float((quad.A**2).sum() + (quad.B**2).sum())
     gap_ok = report.frobenius_gap < 1e-10 * max(norm, 1e-300)
     pd_ok = False

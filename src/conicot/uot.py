@@ -14,7 +14,7 @@ import types
 import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
-from .core import DiscreteMeasureNetwork, DiscreteValueMeasure, _validated
+from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
 from .errors import NegativeArgument
 from .solver import (_ascend, _product_pair, _project_pair, _totals,
                      ccot_distance_from_objective, update_block)
@@ -59,19 +59,23 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
     one feature of unit mass on each side.
 
-    The value is this distance, and so a lower bound, only once the ascent
-    has converged (report.converged True). An ascent stopped at max_iters
-    holds a G below G*, so its value can be too large.
+    The value is this distance, and so a lower bound, only at G = G*. Any G
+    below G* gives a value that is too large, and report.converged does not
+    certify G*: it says only that the best start stopped at the relative
+    tolerance. The pair step is multiplicative, so a start's zero entries
+    stay zero. The monotone start's run can therefore stop at rel_tol on
+    the face of its support, below G*, while the product start is still
+    climbing at max_iters.
     """
     if max_iters < 0:
         raise NegativeArgument(f"max_iters = {max_iters} is below 0")
-    m = np.asarray(mu.masses, dtype=np.float64)
-    n = np.asarray(nu.masses, dtype=np.float64)
+    m, n = mu.masses, nu.masses
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
 
     # the product start, then the monotone (northwest-corner) alignment of
-    # the sorted atoms: exact for identical distributions, a strong start
-    # whenever supports overlap; both sweep as one stack
+    # the sorted atoms: exact for identical distributions, but confined to
+    # its support (the step keeps zeros), so it may stop short of G*; both
+    # sweep as one stack
     A, B = _product_pair(m, n)
     pi = _monotone_plan(m, n)
     scale = n.sum() / max(m.sum(), 1e-300)
@@ -104,8 +108,7 @@ def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     """Lower bound on the conic network distance from value distributions.
 
     It is a bound only when the report's converged is True; see uot_solve.
-    Inputs are checked as validate_network checks raw data.
     """
-    mu = pushforward_value_distribution(_validated(nx))
-    nu = pushforward_value_distribution(_validated(ny))
+    mu = pushforward_value_distribution(nx)
+    nu = pushforward_value_distribution(ny)
     return uot_solve(mu, nu, kernel, max_iters=max_iters)

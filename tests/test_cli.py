@@ -176,6 +176,42 @@ def test_cgw_rejects_zero_restarts(tmp_path, net_files, capsys, monkeypatch):
     assert err.startswith("error: negative_argument")
 
 
+@pytest.mark.parametrize("argv", [["cgw", "--delta", "inf"], ["cgw", "--tol", "nan"],
+                                  ["uot-bound", "--delta", "inf"],
+                                  ["delta-sweep", "--deltas", "0.5,inf"]])
+def test_solve_commands_reject_infinite_delta_and_nan_tol(tmp_path, net_files, argv,
+                                                          capsys, monkeypatch):
+    code, out, err = _run_in(tmp_path, [argv[0], *net_files, *argv[1:]],
+                             capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: negative_argument")
+
+
+@pytest.mark.parametrize("argv", [["gen-aligned", "--cells", "0"],
+                                  ["gen-aligned", "--feat-x", "0"],
+                                  ["gen-aligned", "--feat-y", "0"],
+                                  ["gen-squares", "--g", "0"],
+                                  ["gen-squares", "--side", "0"],
+                                  ["gen-squares", "--count", "-1"]])
+def test_generators_reject_degenerate_sizes(tmp_path, argv, capsys, monkeypatch):
+    code, out, err = _run_in(tmp_path, [*argv, "--dir", str(tmp_path)],
+                             capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: negative_argument")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("sizes", ["0", "30,0"])
+def test_bench_rejects_sizes_it_cannot_sample(tmp_path, sizes, capsys, monkeypatch):
+    code, out, err = _run_in(tmp_path, ["bench", "--sizes", sizes, "--max-iters", "1"],
+                             capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("cmd", ["gw2", "cot", "uot-bound"])
 def test_baseline_commands_reject_negative_max_iters(tmp_path, net_files, cmd, capsys,
                                                      monkeypatch):

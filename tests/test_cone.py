@@ -54,6 +54,13 @@ def test_make_kernel_rejects_bad_delta():
 
 
 @pytest.mark.parametrize("name", KERNELS)
+def test_make_kernel_rejects_infinite_delta(name):
+    # an infinite cone angle turns every distance into inf - inf = NaN
+    with pytest.raises(NegativeArgument):
+        make_kernel(name, np.inf)
+
+
+@pytest.mark.parametrize("name", KERNELS)
 @given(z=st.floats(0.0, 5.0), zp=st.floats(0.0, 5.0))
 @settings(max_examples=50, deadline=None)
 def test_omega_lipschitz(name, z, zp):

@@ -91,9 +91,9 @@ def test_validators_reject_an_empty_side():
         validate_hypernetwork([1.0], [], [[]])
     with pytest.raises(NonSquareKernel, match="sample_weights is empty"):
         validate_hypernetwork([], [1.0], np.zeros((0, 1)))
-    # a hand-built empty network meets the same check in the solver
-    empty = DiscreteMeasureNetwork(np.zeros(0), np.zeros((0, 0)))
+    # a hand-built empty network meets the same check in its constructor
     with pytest.raises(NonSquareKernel, match="weights is empty"):
+        empty = DiscreteMeasureNetwork(np.zeros(0), np.zeros((0, 0)))
         cgw_lower_bound(empty, empty, make_kernel("exp", 0.5))
 
 
@@ -131,11 +131,11 @@ def test_embed_network_as_hypernetwork():
 
 
 def test_embedding_validates_hand_built_network():
-    # a network built without validate_network is checked when embedded
+    # a network built without validate_network is checked by its constructor
     K = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    bad = DiscreteMeasureNetwork(np.array([0.5, -0.1, 0.6]), K)
     good = validate_network([0.5, 0.1, 0.6], K)
     with pytest.raises(NegativeWeight) as exc:
+        bad = DiscreteMeasureNetwork(np.array([0.5, -0.1, 0.6]), K)
         cgw_solve(bad, good, SolverConfig(kernel=make_kernel("exp", 0.5)))
     assert exc.value.index == 1
     nan_kernel = K.copy()
@@ -181,9 +181,9 @@ def test_load_json_unknown_type(tmp_path):
         load_json(p)
 
 
-# Networks and hypernetworks built by their constructors skip validation; every
-# solver entry point checks its inputs as validate_network /
-# validate_hypernetwork check raw data, with the same error types and indices.
+# Networks and hypernetworks are valid by construction: a constructor checks its
+# fields as validate_network / validate_hypernetwork do, with the same error
+# types and indices, so no solver entry point can be handed an invalid input.
 
 _K3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
@@ -215,11 +215,11 @@ def _raises_like_validation(call, case, *, network):
             validate_hypernetwork(w, w, k)
     if index is not None:
         assert exc.value.index == index
-    bad = DiscreteMeasureNetwork(w, k) if network else DiscreteMeasureHypernetwork(w, w, k)
     good = validate_network(np.full(3, 0.4), _K3)
     if not network:
         good = embed_network_as_hypernetwork(good)
     with pytest.raises(error) as exc:
+        bad = DiscreteMeasureNetwork(w, k) if network else DiscreteMeasureHypernetwork(w, w, k)
         call(bad, good)
     if index is not None:
         assert exc.value.index == index

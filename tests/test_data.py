@@ -150,6 +150,23 @@ def test_knn_classify_degenerate():
         knn_classify(feats, labels, k=5, label_rate=0.5, trials=1)
 
 
+@pytest.mark.parametrize("field, value", [("n_cells", 0), ("feat_x", 0), ("feat_y", 0),
+                                          ("n_cells", -1)])
+def test_gen_aligned_rejects_an_empty_side(field, value):
+    sizes = {"n_cells": 20, "feat_x": 3, "feat_y": 4, field: value}
+    with pytest.raises(NegativeArgument):
+        gen_aligned_hypernetworks(**sizes)
+
+
+@pytest.mark.parametrize("field, value", [("g", 0), ("side", 0), ("side", -1),
+                                          ("count", -1)])
+def test_gen_squares_rejects_degenerate_arguments(field, value):
+    # g or side below 1 would write all-dark images, count below 0 nothing
+    args = {"count": 1, "g": 4, "side": 3, field: value}
+    with pytest.raises(NegativeArgument):
+        gen_squares(**args)
+
+
 @pytest.mark.parametrize("k, trials", [(0, 1), (-1, 1), (3, 0), (3, -2)])
 def test_knn_classify_rejects_k_or_trials_below_one(rng, k, trials):
     # k = -1 would vote with all but one training point, trials = 0 average nothing

@@ -14,7 +14,8 @@ from conicot import (
     validate_network,
 )
 from conicot.cone import omega_of_gap
-from conicot.errors import NegativeArgument
+from conicot.errors import (LengthMismatch, NegativeArgument, NegativeWeight,
+                            NonFiniteEntry, NonSquareKernel)
 from conicot.solver import _product_pair, _tight, update_block
 from conicot.uot import COALESCE_TOL, REL_TOL, _monotone_plan
 from tests.conftest import random_network
@@ -244,3 +245,24 @@ def test_uot_stack_equals_each_start_swept_alone(rng, max_iters):
         mu, nu = (pushforward_value_distribution(random_network(rng, 5)) for _ in range(2))
         rep = uot_solve(mu, nu, make_kernel("exp", 0.5), max_iters=max_iters)
         assert rep.objective_trace == _uot_per_start(mu, nu, make_kernel("exp", 0.5), max_iters)
+
+
+@pytest.mark.parametrize("values, masses, error", [
+    ([0.1, 0.2], [0.5, -0.5], NegativeWeight),
+    ([], [], NonSquareKernel),
+    ([0.1, np.nan], [0.5, 0.5], NonFiniteEntry),
+    ([0.1, 0.2], [0.5, np.inf], NonFiniteEntry),
+    ([0.1, 0.2], [1.0], LengthMismatch),
+])
+def test_value_measure_checks_itself(values, masses, error):
+    # uot_solve would report distance 1.0 and converged on such a measure
+    with pytest.raises(error):
+        mu = DiscreteValueMeasure(np.array(values), np.array(masses))
+        uot_solve(mu, mu, make_kernel("exp", 0.5))
+
+
+def test_value_measure_freezes_its_arrays_in_place():
+    values, masses = np.array([0.1, 0.4]), np.array([0.5, 0.7])
+    mu = DiscreteValueMeasure(values, masses)
+    assert mu.values is values and mu.masses is masses
+    assert not values.flags.writeable and not masses.flags.writeable
