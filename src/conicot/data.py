@@ -31,7 +31,8 @@ def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
     and is placed by rejection sampling; pixel intensity is the sum of the
     brightnesses of the squares covering it (zero overlap by construction).
     """
-    for name, value, low in (("count", count, 0), ("g", g, 1), ("side", side, 1)):
+    for name, value, low in (("count", count, 0), ("g", g, 1), ("side", side, 1),
+                             ("image_size", image_size, side)):
         if value < low:
             raise NegativeArgument(f"{name} = {value} is below {low}")
     rng = np.random.default_rng(seed)
@@ -68,6 +69,9 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     omega_ij = 1 iff pixel j is among the knn nearest (Euclidean) pixels of
     pixel i, ties broken by sample index.
     """
+    for name, value in (("n_sample", n_sample), ("knn", knn)):
+        if value < 1:
+            raise NegativeArgument(f"{name} = {value} is below 1")
     image = np.asarray(image, dtype=np.float64)
     coords = np.argwhere(np.ones_like(image, dtype=bool)).astype(np.float64)
     total = coords.shape[0]

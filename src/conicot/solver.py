@@ -136,17 +136,19 @@ def _product_pair(a, b):
     return A, B
 
 
-def _tight(W, target, axis):
+def _tight(W, target, axis, s=None):
     """Rescale W so its row (axis=1) or column (axis=0) sums equal target.
 
     A line whose sum vanishes stays zero. The lines are those of W's last two
-    axes, so a stack of matrices is rescaled one slice at a time. This is the
-    one closed-form step of the block ascent: every block update, projection
+    axes, so a stack of matrices is rescaled one slice at a time; s, W's
+    line sums, may be passed by a caller that has them. This is the one
+    closed-form step of the block ascent: every block update, projection
     and UOT step ends here.
     """
     # np.add.reduce and np.zeros skip the Python wrappers of ndarray.sum and
     # np.zeros_like: this step runs thousands of times on tiny blocks
-    s = np.add.reduce(W, axis=axis - 2)
+    if s is None:
+        s = np.add.reduce(W, axis=axis - 2)
     r = np.divide(target, s, out=np.zeros(s.shape), where=s > 0)
     return W * (r[..., None] if axis == 1 else r[..., None, :])
 
@@ -171,18 +173,23 @@ def project_to_gamma_bar(quad: SemiCouplingQuadruple, live, marginals) -> SemiCo
                                  *_project_pair(quad.Ap, quad.Bp, live[1], ap, bp))
 
 
-def update_block(partner, K, row_target, col_target):
+def update_block(partner, K2, row_target, col_target):
     """One ascent step on a semi-coupling pair (A, B), the other pair fixed.
 
     With the other pair held fixed, F = Sigma_ik K_ik sqrt(A_ik B_ik) for K its
-    contraction (P for the pair (A, B), Q for (A', B')). A, the maximizer over
-    A given B = partner, is partner weighted by K^2 and made tight to
-    row_target; B, the maximizer given that new A, is A weighted by K^2 and
-    made tight to col_target. Returns (A, B); partner and K may carry a
-    leading stack axis.
+    contraction (P for the pair (A, B), Q for (A', B')), and K2 = K^2 is
+    passed. A, the maximizer over A given B = partner, is partner weighted by
+    K2 and made tight to row_target; B, the maximizer given that new A, is A
+    weighted by K2 and made tight to col_target. Returns (A, B, F) with F the
+    new pair's objective, Sigma_l sqrt(col_target_l s_l) for s the column sums
+    of A K2: B = A K2 col_target / s and K >= 0, so sqrt(A B) K = A K2
+    sqrt(col_target / s), and a zero column adds 0 to both. partner and K2
+    may carry a leading stack axis; F then has one entry per slice.
     """
-    A = _tight(partner * K * K, row_target, 1)
-    return A, _tight(A * K * K, col_target, 0)
+    A = _tight(partner * K2, row_target, 1)
+    W = A * K2
+    s = np.add.reduce(W, axis=-2)
+    return A, _tight(W, col_target, 0, s), np.add.reduce(np.sqrt(col_target * s), axis=-1)
 
 
 def _totals(X):
@@ -273,8 +280,10 @@ def _run_stack(tensors, marginals, starts, size, config):
     They are taken out of the list, so it holds none of them through the
     ascent. A stack of one kernel contracts with its tensor; a stack of
     several with one dense matrix per start, compacted along with the
-    starts. Returns one (kernel index, quadruple, objective trace, stop) per
-    start, in order.
+    starts. A sweep is two pair steps, on P^2 then Q^2, and its objective is
+    the second step's F, Sigma_l sqrt(b'_l s_l) for s the column sums of
+    A' Q^2, so no separate objective pass runs. Returns one (kernel index,
+    quadruple, objective trace, stop) per start, in order.
     """
     a, b, ap, bp = marginals
     kernels = [k for k, _ in starts[:size]]
@@ -292,13 +301,14 @@ def _run_stack(tensors, marginals, starts, size, config):
 
     def sweep(s):
         T = tensor_of(s)
-        # P is passed inline: holding it to the end of the sweep as well as
-        # Mp would keep one more n x m array alive at the memory peak
-        s.A, s.B = update_block(s.B, contract(T, Side.SampleSide, s.Mp), a, b)
-        Q = contract(T, Side.FeatureSide, np.sqrt(s.A * s.B))
-        s.Ap, s.Bp = update_block(s.Bp, Q, ap, bp)
+        # P and Q are squared inline: holding one to the end of its step as
+        # well as its square would keep one more n x m array alive at the
+        # memory peak
+        s.A, s.B, _ = update_block(s.B, contract(T, Side.SampleSide, s.Mp) ** 2, a, b)
+        s.Ap, s.Bp, F = update_block(
+            s.Bp, contract(T, Side.FeatureSide, np.sqrt(s.A * s.B)) ** 2, ap, bp)
         s.Mp = np.sqrt(s.Ap * s.Bp)
-        return _totals(s.Mp * Q)
+        return F
 
     return [(k, SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
             for k, (r, trace, stop) in zip(

@@ -55,7 +55,9 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
 
     Maximizes G(A, B) = Sigma_ij Omega_ij sqrt(A_ij B_ij) over A with row
     sums <= m and B with column sums <= n, by the network solver's pair
-    step with the contraction fixed at Omega. Returns the distance value
+    step with the contraction fixed at Omega: Omega^2 is formed once, and
+    each sweep's G is the step's F, Sigma_j sqrt(n_j s_j) for s the column
+    sums of A Omega^2. Returns the distance value
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
     one feature of unit mass on each side.
 
@@ -81,10 +83,11 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     scale = n.sum() / max(m.sum(), 1e-300)
     s = types.SimpleNamespace()
     s.A, s.B = _project_pair(np.stack((A, pi)), np.stack((B, pi * scale)), W > 0, m, n)
+    W2 = W * W
 
     def sweep(s):
-        s.A, s.B = update_block(s.B, W, m, n)
-        return _totals(W * np.sqrt(s.A * s.B))
+        s.A, s.B, F = update_block(s.B, W2, m, n)
+        return F
 
     runs = _ascend(s, _totals(W * np.sqrt(s.A * s.B)), sweep, max_iters, REL_TOL)
     _, trace, stop = max(runs, key=lambda run: run[1][-1])  # the first best

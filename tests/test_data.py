@@ -66,6 +66,14 @@ def test_image_to_network_argument_checks():
         image_to_network(img, n_sample=4, knn=4)
 
 
+@pytest.mark.parametrize("n_sample, knn, name", [(10, 0, "knn"), (10, -1, "knn"),
+                                                  (0, 2, "n_sample"), (-3, 2, "n_sample")])
+def test_image_to_network_rejects_counts_below_one(n_sample, knn, name):
+    # knn = 0 would give an all-zero kernel, knn = -1 or n_sample = 0 a numpy error
+    with pytest.raises(NegativeArgument, match=f"^{name} = "):
+        image_to_network(np.ones((4, 4)), n_sample=n_sample, knn=knn)
+
+
 def test_image_to_network_redraws_until_a_bright_pixel():
     img = np.zeros((8, 8))
     img[5, 2] = 1.0  # pixel 42 in the row-major order of the draws
@@ -165,6 +173,13 @@ def test_gen_squares_rejects_degenerate_arguments(field, value):
     args = {"count": 1, "g": 4, "side": 3, field: value}
     with pytest.raises(NegativeArgument):
         gen_squares(**args)
+
+
+def test_gen_squares_rejects_an_image_smaller_than_a_square():
+    # numpy would fail on the placement draw with "high <= 0"
+    with pytest.raises(NegativeArgument, match="^image_size = 2 is below 3"):
+        gen_squares(1, side=3, image_size=2)
+    assert gen_squares(1, g=1, side=3, image_size=3)[0].shape == (3, 3)
 
 
 @pytest.mark.parametrize("k, trials", [(0, 1), (-1, 1), (3, 0), (3, -2)])

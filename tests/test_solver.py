@@ -18,7 +18,8 @@ from conicot import (
 from conicot import solver
 from conicot.errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
 from conicot.solver import project_to_gamma_bar, update_block
-from conicot.tensor import DistortionTensor, Side, TensorPolicy, build_tensor, contract
+from conicot.tensor import (DistortionTensor, Side, TensorMode, TensorPolicy, build_tensor,
+                            contract)
 from tests.test_tensor import _knn_adjacency
 from tests.conftest import random_hypernetwork, random_network
 
@@ -52,9 +53,9 @@ def _pair_step(quad, tensor, marginals, block):
     a, b, ap, bp = marginals
     if block in ("A", "B"):
         K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
-        return K, update_block(quad.B, K, a, b)
+        return K, update_block(quad.B, K * K, a, b)[:2]
     K = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-    return K, update_block(quad.Bp, K, ap, bp)
+    return K, update_block(quad.Bp, K * K, ap, bp)[:2]
 
 
 @pytest.mark.parametrize("block", ["A", "B", "Aprime", "Bprime"])
@@ -343,10 +344,42 @@ def test_update_block_on_a_stack_steps_each_slice(rng):
     a, b = marginals[:2]
     K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
     partners = np.stack([quad.B * rng.uniform(0.5, 1.5, quad.B.shape) for _ in range(3)])
-    A, B = update_block(partners, K, a, b)
+    A, B, _ = update_block(partners, K * K, a, b)
     for s in range(3):
-        As, Bs = update_block(partners[s], K, a, b)
+        As, Bs, _ = update_block(partners[s], K * K, a, b)
         assert np.array_equal(A[s], As) and np.array_equal(B[s], Bs)
+
+
+def test_update_block_returns_the_objective_of_its_pair(rng):
+    # F = Sigma_l sqrt(col_target_l s_l) equals Sigma K sqrt(A B) of the new
+    # pair, also with a zero row and column of K and a zero column target
+    K = rng.uniform(0.0, 2.0, (5, 6))
+    K[1, :] = 0.0
+    K[:, 2] = 0.0
+    row_target, col_target = rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, 6)
+    col_target[4] = 0.0
+    partners = rng.uniform(0.0, 1.0, (3, 5, 6))
+    K2 = K * K
+    A, B, F = update_block(partners, K2, row_target, col_target)
+    assert F.shape == (3,)
+    assert np.allclose(F, (np.sqrt(K2) * np.sqrt(A * B)).sum((-2, -1)), rtol=1e-13, atol=0)
+    for s in range(3):
+        assert update_block(partners[s], K2, row_target, col_target)[2] == F[s]
+
+
+@pytest.mark.parametrize("policy, mode", [
+    (TensorPolicy(), TensorMode.Dense),
+    (TensorPolicy(max_dense_bytes=1024, quantize_bins=64), TensorMode.Factored),
+], ids=["dense", "factored"])
+def test_reported_objective_is_objective_F_of_the_best_quadruple(rng, policy, mode):
+    # the trace ends at the pair step's F, which must be the F of the quadruple
+    hx, hy = random_hypernetwork(rng, 6, 5), random_hypernetwork(rng, 6, 4)
+    k = make_kernel("exp", 0.5)
+    cfg = SolverConfig(kernel=k, restarts=2, max_iters=30, tensor_policy=policy)
+    _, quad, report = bca_solve(hx, hy, cfg)
+    tensor = build_tensor(hx, hy, k, policy)
+    assert tensor.mode is mode
+    assert report.objective_trace[-1] == pytest.approx(objective_F(quad, tensor), rel=1e-12)
 
 
 def _alone(hx, hy, tensor, config):

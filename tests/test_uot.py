@@ -229,8 +229,8 @@ def _uot_per_start(mu, nu, kernel, max_iters):
         A, B = _tight(A * (W > 0), m, 1), _tight(B * (W > 0), n, 0)
         trace = [float((W * np.sqrt(A * B)).sum())]
         for _ in range(max_iters):
-            A, B = update_block(B, W, m, n)
-            trace.append(float((W * np.sqrt(A * B)).sum()))
+            A, B, F = update_block(B, W * W, m, n)
+            trace.append(float(F))
             if abs(trace[-1] - trace[-2]) <= REL_TOL * max(1.0, abs(trace[-2])):
                 break
         if best is None or trace[-1] > best[-1]:
