@@ -254,7 +254,7 @@ def bench_runner(sizes, args):
         kernels = [image_to_network(img, n_sample=n, knn=4, seed=s).kernel
                    for img, s in zip(imgs, (args.seed, args.seed + 1))]
         na, nb = (validate_network(np.full(n, 1.0 / n), k) for k in kernels)
-        # force the factored path: budget admits indicators but not the dense tensor
+        # force the factored path: the budget is below the dense tensor
         cfg = _config(args, restarts=1,
                       policy=TensorPolicy(max_dense_bytes=16 * n * n))
         dist, report = cgw_solve(na, nb, cfg)

@@ -193,14 +193,29 @@ def tv_gap(a, b) -> float:
     return float(np.abs(a - b).sum())
 
 
+# the fields each input type needs; a network may also carry points and a label
+_REQUIRED = {"measure_network": ("weights", "kernel"),
+             "measure_hypernetwork": ("sample_weights", "feature_weights", "kernel")}
+
+
 def load_json(path):
-    """Load a network or hypernetwork from a JSON file."""
+    """Load a network or hypernetwork from a JSON file.
+
+    A top level that is not a JSON object, or a missing field, raises
+    ValueError naming the file and the field.
+    """
     with open(path) as f:
         d = json.load(f)
-    if d.get("type") == "measure_network":
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} holds a JSON {type(d).__name__}, not an object")
+    kind = d.get("type")
+    if kind not in _REQUIRED:
+        raise ValueError(f"unknown input type {kind!r} in {path}")
+    for field in _REQUIRED[kind]:
+        if field not in d:
+            raise ValueError(f"{kind} in {path} has no field {field!r}")
+    if kind == "measure_network":
         return DiscreteMeasureNetwork(d["weights"], d["kernel"], points=d.get("points"),
                                       label=d.get("label"))
-    if d.get("type") == "measure_hypernetwork":
-        return DiscreteMeasureHypernetwork(d["sample_weights"], d["feature_weights"],
-                                           d["kernel"])
-    raise ValueError(f"unknown input type {d.get('type')!r} in {path}")
+    return DiscreteMeasureHypernetwork(d["sample_weights"], d["feature_weights"],
+                                       d["kernel"])

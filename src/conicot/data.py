@@ -15,6 +15,7 @@ from .errors import (
     DegenerateSplit,
     EmptyCorrespondence,
     InsufficientMass,
+    LengthMismatch,
     NegativeArgument,
     PlacementFailure,
 )
@@ -194,6 +195,8 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
             raise NegativeArgument(f"{name} = {value} is below 1")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if features.shape[0] != labels.size:
+        raise LengthMismatch(f"{features.shape[0]} feature rows for {labels.size} labels")
     classes = np.unique(labels)
     n = labels.size
     rng = np.random.default_rng(seed)

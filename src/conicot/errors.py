@@ -47,10 +47,6 @@ class NonFinite(ConicotError):
     code = "non_finite"
 
 
-class BudgetTooSmallForEitherPath(ConicotError):
-    code = "budget_too_small"
-
-
 class NegativeSquaredDistance(ConicotError):
     code = "negative_squared_distance"
 

@@ -25,9 +25,9 @@ Ys[k, (l, c)] = [yi_kl = v_c] over the non-background y-bins v_c. Each of
 Dx, Dy, XG and Ys is a scipy.sparse CSR array when it has at least 2^16
 entries of which at most 1/16 are nonzero (kNN adjacency), and a plain
 ndarray otherwise (small or many-bin kernels); the same products serve both.
-XG and Ys are stored when together they fit in `max_dense_bytes`; otherwise
-the y-bins are split into chunks that each fit, built on every contraction
-from the bin ids xi and yi, which only such a tensor keeps.
+XG and Ys are always built once and stored, over all non-background y-bins
+(with zero columns when there are none); the bin ids xi and yi are dropped
+after the build. `max_dense_bytes` decides only dense or factored.
 scipy.sparse is imported by the first build that stores a CSR factor, so a
 dense solve never loads it.
 """
@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -46,8 +44,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_eval, omega_of_gap
 from .core import DiscreteMeasureHypernetwork
-from .errors import (BudgetTooSmallForEitherPath, CapExceeded, DimensionMismatch,
-                     NegativeArgument)
+from .errors import CapExceeded, DimensionMismatch, NegativeArgument
 
 
 class TensorMode(enum.Enum):
@@ -66,8 +63,9 @@ class TensorPolicy:
     quantize_bins: int = 64
 
     def __post_init__(self):
-        if self.quantize_bins < 1:
-            raise NegativeArgument(f"quantize_bins = {self.quantize_bins} is below 1")
+        q = self.quantize_bins
+        if not (isinstance(q, (int, np.integer)) and q >= 1):
+            raise NegativeArgument(f"quantize_bins = {q} is not an integer >= 1")
 
     def fits_dense(self, dims) -> bool:
         """Whether a tensor of these dims is stored dense."""
@@ -87,9 +85,7 @@ class DistortionTensor:
     quantization_error: float = 0.0
     background: tuple | None = None  # most frequent (x bin, y bin)
     offsets: tuple | None = None  # (Dx, Dy): alpha[xi] (n x n'), beta[yi] (m x m')
-    bin_chunks: list | None = None  # non-background y-bin ids, one array per chunk
-    factors: list | None = None  # (XG, Ys) per chunk; None when built per call
-    indicators: tuple | None = None  # bin ids (xi, yi) to build factors per call from
+    factors: tuple | None = None  # (XG, Ys) over the non-background y-bins
 
     def slice_sums(self):
         """(Sigma_jl T_ijkl as n x m, Sigma_ik T_ijkl as n' x m')."""
@@ -190,7 +186,7 @@ def build_tensor(
     kernel: ConeKernel,
     policy: TensorPolicy | None = None,
 ) -> DistortionTensor:
-    """Build the distortion tensor, choosing dense or factored storage by budget."""
+    """Build the distortion tensor: dense when it fits `max_dense_bytes`, else factored."""
     policy = policy or TensorPolicy()
     n, np_ = hx.kernel.shape
     m, mp = hy.kernel.shape
@@ -198,11 +194,6 @@ def build_tensor(
     if policy.fits_dense(dims):
         matrix = _omega_matrix(kernel, hx.kernel, hy.kernel)
         return DistortionTensor(mode=TensorMode.Dense, dims=dims, matrix=matrix)
-    indicator_bytes = 8 * (n * np_ + m * mp)
-    if indicator_bytes > policy.max_dense_bytes:
-        raise BudgetTooSmallForEitherPath(
-            f"indicator matrices need {indicator_bytes} bytes"
-        )
     xv, xid, wx = _quantize(hx.kernel, policy.quantize_bins)
     yv, yid, wy = _quantize(hy.kernel, policy.quantize_bins)
     table = omega_of_gap(kernel, xv[:, None], yv[None, :])
@@ -215,17 +206,8 @@ def build_tensor(
     xs, ys = _off_background(xid, a), _off_background(yid, b)
     offsets = (_store((n, np_), *xs[:2], alpha[xs[2]]),
                _store((m, mp), *ys[:2], beta[ys[2]]))
-    # the y-bins that occur and whose gamma column is nonzero somewhere; XG and
-    # Ys are stored when they fit the budget, else built per call in chunks
+    # the y-bins that occur and whose gamma column is nonzero somewhere
     bins = np.flatnonzero((y_count > 0) & gamma.any(axis=0))
-    C, budget = bins.size, policy.max_dense_bytes
-    xg_nnz = int((x_count @ (gamma[:, bins] != 0)).sum())
-    fits = (_stored_bytes(np_, n * C, xg_nnz)
-            + _stored_bytes(m, C * mp, int(y_count[bins].sum()))) <= budget
-    # a chunk of s bins takes at most 8 s (n n' + m m') bytes, sparse or not
-    size = max(C, 1) if fits else max(1, budget // (8 * (n * np_ + m * mp)))
-    chunks = [bins[k:k + size] for k in range(0, C, size)]
-    factors = [_factors(dims, xs, ys, gamma, c) for c in chunks] if fits else None
     return DistortionTensor(
         mode=TensorMode.Factored,
         dims=dims,
@@ -235,9 +217,7 @@ def build_tensor(
         quantization_error=float(qerr),
         background=(a, b),
         offsets=offsets,
-        bin_chunks=chunks,
-        factors=factors,
-        indicators=None if fits else (xid, yid),
+        factors=_factors(dims, xs, ys, gamma, bins),
     )
 
 
@@ -263,12 +243,6 @@ def _is_sparse(rows, cols, nnz):
     return rows * cols >= _SPARSE_MIN and 16 * nnz <= rows * cols
 
 
-def _stored_bytes(rows, cols, nnz):
-    if _is_sparse(rows, cols, nnz):
-        return 12 * nnz + 4 * (rows + 1)
-    return 8 * rows * cols
-
-
 def _store(shape, rows, cols, values):
     """The matrix with these nonzeros: CSR when large and sparse, else dense."""
     keep = values != 0
@@ -281,16 +255,16 @@ def _store(shape, rows, cols, values):
     return out
 
 
-def _off_background(indicator, bg):
+def _off_background(ids, bg):
     """(rows, cols, bin ids) of the entries whose bin is not bg."""
-    rows, cols = np.nonzero(indicator != bg)
-    return rows, cols, indicator[rows, cols]
+    rows, cols = np.nonzero(ids != bg)
+    return rows, cols, ids[rows, cols]
 
 
 def _factors(dims, xs, ys, gamma, bins):
     """XG[j, (c, i)] = gamma[xi_ij, bins[c]] and Ys[k, (l, c)] = [yi_kl = bins[c]].
 
-    xs and ys are the off-background entries of the two indicators.
+    xs and ys are the off-background entries of the two bin-id arrays.
     """
     n, np_, m, mp = dims
     C = bins.size
@@ -339,28 +313,22 @@ def contract(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
 def _contract_factored(tensor: DistortionTensor, side: Side, M: np.ndarray) -> np.ndarray:
     """contract of one matrix M in factored mode.
 
-    One batched product per chunk of non-background y-bins (one chunk when
-    stored), then two rank-one terms and the background constant. Both sides
-    are accumulated transposed, so the factor layouts make every reshape free
-    and the sparse Ys multiplies from the left.
+    One batched product through the stored factors, then two rank-one terms
+    and the background constant. Both sides are accumulated transposed, so
+    the factor layouts make every reshape free and the sparse Ys multiplies
+    from the left. Zero-column factors (no non-background y-bin) give zeros.
     """
     n, np_, m, mp = tensor.dims
     a, b = tensor.background
-    factors = tensor.factors
-    if factors is None:
-        gamma = _split_table(tensor.omega_table, a, b)[2]
-        xid, yid = tensor.indicators
-        xs, ys = _off_background(xid, a), _off_background(yid, b)
-        factors = (_factors(tensor.dims, xs, ys, gamma, c) for c in tensor.bin_chunks)
+    XG, Ys = tensor.factors
     Dx, Dy = tensor.offsets
     rows, cols = M.sum(axis=1), M.sum(axis=0)
     if side is Side.SampleSide:  # P^T = Ys (M^T XG), m x n
-        terms = (Ys @ (M.T @ XG).reshape(-1, n) for XG, Ys in factors)
-        shape, yterm, xterm = (m, n), Dy @ cols, Dx @ rows
+        out = Ys @ (M.T @ XG).reshape(-1, n)
+        yterm, xterm = Dy @ cols, Dx @ rows
     else:  # Q^T = (Ys^T M^T) XG^T, m' x n'
-        terms = ((Ys.T @ M.T).reshape(mp, -1) @ XG.T for XG, Ys in factors)
-        shape, yterm, xterm = (mp, np_), Dy.T @ cols, Dx.T @ rows
-    out = functools.reduce(operator.iadd, terms) if tensor.bin_chunks else np.zeros(shape)
+        out = (Ys.T @ M.T).reshape(mp, -1) @ XG.T
+        yterm, xterm = Dy.T @ cols, Dx.T @ rows
     out += yterm[:, None]
     out += xterm + tensor.omega_table[a, b] * rows.sum()
     return np.ascontiguousarray(out.T)

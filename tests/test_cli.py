@@ -105,6 +105,18 @@ def test_invalid_network_exits_one(tmp_path, capsys, monkeypatch):
     assert "negative_weight" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ({"type": "measure_network", "weights": [1.0]}, "has no field 'kernel'"),
+    ([1, 2], "holds a JSON list, not an object")])
+def test_malformed_input_file_exits_one(tmp_path, content, message, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    code, out, err = _run_in(tmp_path, ["cgw", str(bad), str(bad)], capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: validation:") and message in err
+
+
 def test_empty_side_exits_one(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "measure_hypernetwork", "sample_weights": [1.0],
@@ -278,6 +290,18 @@ def test_classify_rejects_k_or_trials_below_one(tmp_path, flag, value, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("error: negative_argument")
+
+
+def test_classify_rejects_more_labels_than_feature_rows(tmp_path, capsys, monkeypatch):
+    fp, lp = tmp_path / "f.csv", tmp_path / "l.csv"
+    np.savetxt(fp, np.random.default_rng(0).normal(size=(6, 2)), delimiter=",")
+    np.savetxt(lp, np.array([0, 1] * 5), delimiter=",")
+    argv = ["classify", "--features", str(fp), "--labels", str(lp), "--k", "1",
+            "--label-rate", "0.5", "--trials", "1"]
+    code, out, err = _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: length_mismatch")
 
 
 def test_verify_robustness_rejects_zero_trials(tmp_path, net_files, capsys, monkeypatch):

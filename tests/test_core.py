@@ -181,6 +181,20 @@ def test_load_json_unknown_type(tmp_path):
         load_json(p)
 
 
+def test_load_json_missing_field_names_file_and_field(tmp_path):
+    p = tmp_path / "nokernel.json"
+    p.write_text(json.dumps({"type": "measure_network", "weights": [1.0]}))
+    with pytest.raises(ValueError, match=r"nokernel\.json has no field 'kernel'"):
+        load_json(p)
+
+
+def test_load_json_rejects_a_top_level_that_is_not_an_object(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text(json.dumps([1, 2]))
+    with pytest.raises(ValueError, match=r"list\.json holds a JSON list, not an object"):
+        load_json(p)
+
+
 # Networks and hypernetworks are valid by construction: a constructor checks its
 # fields as validate_network / validate_hypernetwork do, with the same error
 # types and indices, so no solver entry point can be handed an invalid input.

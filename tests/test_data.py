@@ -14,6 +14,7 @@ from conicot.errors import (
     DegenerateSplit,
     EmptyCorrespondence,
     InsufficientMass,
+    LengthMismatch,
     NegativeArgument,
     PlacementFailure,
 )
@@ -147,6 +148,12 @@ def test_knn_classify_null(rng):
     labels = np.array([0, 1] * 30)
     mean, _ = knn_classify(feats, labels, k=5, label_rate=0.5, trials=20)
     assert 0.2 < mean < 0.8
+
+
+def test_knn_classify_rejects_more_labels_than_feature_rows():
+    with pytest.raises(LengthMismatch):
+        knn_classify(np.zeros((6, 2)), np.array([0, 1] * 5), k=1, label_rate=0.5,
+                     trials=1)
 
 
 def test_knn_classify_degenerate():

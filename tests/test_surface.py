@@ -42,7 +42,7 @@ CLI_OPTIONS = {
 
 # the CLI prints "error: <code>: <message>" for every conicot.errors type
 ERROR_CODES = [
-    "budget_too_small", "cap_exceeded", "degenerate_split", "dimension_mismatch",
+    "cap_exceeded", "degenerate_split", "dimension_mismatch",
     "empty_correspondence", "error", "insufficient_mass", "length_mismatch",
     "mass_mismatch", "negative_argument", "negative_scale",
     "negative_squared_distance", "negative_weight", "non_finite", "non_finite_entry",

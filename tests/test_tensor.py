@@ -18,8 +18,7 @@ from conicot import (
     omega_of_gap,
     validate_hypernetwork,
 )
-from conicot.errors import (BudgetTooSmallForEitherPath, DimensionMismatch, NegativeArgument,
-                            NonFinite)
+from conicot.errors import DimensionMismatch, NegativeArgument, NonFinite
 from conicot.tensor import _omega_matrix, _quantize
 from tests.conftest import random_hypernetwork, random_network, tensor_oracle
 
@@ -179,15 +178,7 @@ def test_factored_quantized_within_error_bound(rng):
     assert gap <= tf.quantization_error + 1e-12
 
 
-def test_budget_too_small(rng):
-    hx = random_hypernetwork(rng, 8, 8)
-    hy = random_hypernetwork(rng, 8, 8)
-    with pytest.raises(BudgetTooSmallForEitherPath):
-        build_tensor(hx, hy, make_kernel("exp", 0.5),
-                     TensorPolicy(max_dense_bytes=8))
-
-
-@pytest.mark.parametrize("bins", [0, -3])
+@pytest.mark.parametrize("bins", [0, -3, float("nan"), 2.5])
 def test_policy_rejects_fewer_than_one_bin(bins):
     with pytest.raises(NegativeArgument):
         TensorPolicy(quantize_bins=bins)
@@ -267,7 +258,9 @@ def test_factored_binary_adjacency(rng, ones, background):
     t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=4096))
     assert t.mode is TensorMode.Factored
     assert t.background == background
-    assert [c.tolist() for c in t.bin_chunks] == [[1 - background[1]]]
+    # one non-background y-bin: Ys has m' columns
+    XG, Ys = t.factors
+    assert XG.shape == (7, 9) and Ys.shape == (6, 8)
     _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
@@ -280,7 +273,9 @@ def test_factored_rectangular_quantized(rng):
     assert t.mode is TensorMode.Factored
     assert t.quantization_error > 0.0
     assert t.x_values.size == t.y_values.size == 64
-    assert t.factors is not None and len(t.factors) == 1
+    XG, Ys = t.factors  # one pair over the same C y-bins
+    C = Ys.shape[1] // 14
+    assert XG.shape == (10, C * 20) and Ys.shape == (15, 14 * C) and C > 1
     _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
@@ -290,7 +285,9 @@ def test_factored_single_bin_constant_kernel(rng):
     k = make_kernel("exp", 0.5)
     t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=1024))
     assert t.mode is TensorMode.Factored
-    assert t.bin_chunks == [] and t.factors == []
+    # no non-background bin: zero-column factors
+    XG, Ys = t.factors
+    assert XG.shape == (4, 0) and Ys.shape == (6, 0)
     _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
 
@@ -301,7 +298,7 @@ def test_factored_sparse_storage_matches_einsum(rng):
     k = make_kernel("exp", 0.5)
     t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=1 << 20))
     assert t.mode is TensorMode.Factored
-    (XG, Ys), = t.factors
+    XG, Ys = t.factors
     assert sparse.issparse(XG) and sparse.issparse(Ys)
     _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
 
@@ -314,7 +311,7 @@ def test_factored_sparse_knn_matches_bin_pair_sum(rng):
     t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), k,
                      TensorPolicy(max_dense_bytes=16 * 300 * 300))
     assert t.mode is TensorMode.Factored
-    assert all(sparse.issparse(f) for f in (*t.offsets, *t.factors[0]))
+    assert all(sparse.issparse(f) for f in (*t.offsets, *t.factors))
     (xv, xid, _), (yv, yid, _) = _quantize(kx, 64), _quantize(ky, 64)
     X = [(xid == u).astype(float) for u in range(xv.size)]
     Y = [(yid == v).astype(float) for v in range(yv.size)]
@@ -338,31 +335,29 @@ def _held_arrays(value):
 
 
 def test_stored_factor_tensor_holds_no_bin_ids(rng):
-    # with its factors stored, a tensor holds them, the offsets, the bin chunks
-    # and the O(q^2) bin description; no array of n n' or m m' entries
+    # a factored tensor holds its factors, the offsets and the O(q^2) bin
+    # description; no array of n n' or m m' entries
     kx, ky = _knn_adjacency(rng, 300, 4), _knn_adjacency(rng, 300, 4)
     t = build_tensor(_hyper(rng, kx), _hyper(rng, ky), make_kernel("exp", 0.5),
                      TensorPolicy(max_dense_bytes=16 * 300 * 300))
-    assert t.factors is not None
+    assert t.mode is TensorMode.Factored
     sizes = [a.size for v in vars(t).values() for a in _held_arrays(v)]
     assert sizes and max(sizes) < 300 * 300
-    assert t.indicators is None
 
 
-def test_factored_many_bins_chunked_by_budget(rng):
+def test_factored_stores_factors_over_budget(rng):
     hx = random_hypernetwork(rng, 6, 5)
     hy = random_hypernetwork(rng, 7, 4)
     k = make_kernel("cos", 0.6)
-    # 30 x-bins and 28 y-bins; each y-bin's XG and Ys take 464 bytes
+    # 30 x-bins and 28 y-bins; each y-bin's XG and Ys take 464 bytes, so the
+    # factors exceed the budget, and are stored all the same
     t = build_tensor(hx, hy, k, TensorPolicy(max_dense_bytes=2048))
     assert t.mode is TensorMode.Factored
-    assert t.factors is None and len(t.bin_chunks) > 1
-    assert max(c.size for c in t.bin_chunks) == 2048 // 464
-    # the per-call factors are built from the bin ids, which only this tensor keeps
-    xid, yid = t.indicators
-    assert xid.shape == (6, 5) and yid.shape == (7, 4)
+    XG, Ys = t.factors
+    assert XG.nbytes + Ys.nbytes > 2048
+    assert XG.shape == (5, 6 * 27) and Ys.shape == (7, 4 * 27)
     _assert_contracts_match_einsum(rng, t, tensor_oracle(hx, hy, k, bins=64))
-    # exact bins: the chunked tensor is the dense one
+    # exact bins: the factored tensor is the dense one
     dense = build_tensor(hx, hy, k)
     M = rng.uniform(size=(6, 7))
     _assert_close(contract(t, Side.FeatureSide, M), contract(dense, Side.FeatureSide, M))
@@ -382,28 +377,23 @@ def test_kernel_pd_check_is_solver_tensor_spectrum(rng, name, n, m):
 
 def _stack_case(rng, case):
     """A tensor of each contraction path: dense, or factored with ndarray
-    factors, CSR factors, or factors built per call in chunks."""
+    factors or CSR factors."""
     if case == "dense":
         return build_tensor(random_hypernetwork(rng, 4, 3), random_hypernetwork(rng, 5, 2),
                             make_kernel("exp", 0.5))
     if case == "ndarray":
         t = build_tensor(random_hypernetwork(rng, 20, 10), random_hypernetwork(rng, 15, 14),
                          make_kernel("exp", 0.5), TensorPolicy(max_dense_bytes=300_000))
-        assert not any(sparse.issparse(f) for f in t.factors[0])
+        assert not any(sparse.issparse(f) for f in t.factors)
         return t
-    if case == "csr":
-        hx = _hyper(rng, (rng.uniform(size=(40, 30)) < 0.04).astype(float))
-        t = build_tensor(hx, random_hypernetwork(rng, 40, 30), make_kernel("exp", 0.5),
-                         TensorPolicy(max_dense_bytes=1 << 20))
-        assert all(sparse.issparse(f) for f in t.factors[0])
-        return t
-    t = build_tensor(random_hypernetwork(rng, 6, 5), random_hypernetwork(rng, 7, 4),
-                     make_kernel("cos", 0.6), TensorPolicy(max_dense_bytes=2048))
-    assert t.factors is None and len(t.bin_chunks) > 1
+    hx = _hyper(rng, (rng.uniform(size=(40, 30)) < 0.04).astype(float))
+    t = build_tensor(hx, random_hypernetwork(rng, 40, 30), make_kernel("exp", 0.5),
+                     TensorPolicy(max_dense_bytes=1 << 20))
+    assert all(sparse.issparse(f) for f in t.factors)
     return t
 
 
-@pytest.mark.parametrize("case", ["dense", "ndarray", "csr", "chunked"])
+@pytest.mark.parametrize("case", ["dense", "ndarray", "csr"])
 @pytest.mark.parametrize("side", [Side.SampleSide, Side.FeatureSide])
 def test_contract_stack_equals_per_slice_calls(rng, case, side):
     t = _stack_case(rng, case)
