@@ -16,6 +16,11 @@ from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
 from .errors import CapExceeded, MassMismatch, NegativeArgument
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
+# most variables in one stacked ot_exact linear program. Separate small LPs
+# spend most of their time in scipy's per-call work, so a block-diagonal LP
+# of a few small problems is faster than as many calls; past about 2^13
+# variables in all, HiGHS takes longer on the one LP than on the separate ones
+OT_STACK_VARS = 1 << 12
 
 
 @dataclasses.dataclass
@@ -26,16 +31,19 @@ class Coupling:
 
     def feasible(self, tol: float = 1e-9) -> bool:
         return bool(
-            np.abs(self.matrix.sum(axis=1) - self.row_marginal).max() < tol
-            and np.abs(self.matrix.sum(axis=0) - self.col_marginal).max() < tol
+            np.abs(self.matrix.sum(axis=-1) - self.row_marginal).max() < tol
+            and np.abs(self.matrix.sum(axis=-2) - self.col_marginal).max() < tol
         )
 
 
 @functools.lru_cache(maxsize=32)
-def _transport_constraints(n: int, m: int):
+def _transport_constraints(n: int, m: int, height: int):
     """Row/column-sum equality constraints (one redundant row dropped), in
-    the compressed-column form that HiGHS takes."""
+    the compressed-column form that HiGHS takes; for a stack of `height`
+    problems, one such block per problem on the diagonal."""
     from scipy import sparse
+    if height > 1:
+        return sparse.block_diag([_transport_constraints(n, m, 1)] * height, format="csc")
     rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
     cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
     return sparse.vstack([rows, cols]).tocsr()[:-1].tocsc()
@@ -55,25 +63,37 @@ def ot_exact(a, b, cost):
     with at most n + m - 1 positive entries, as a Frank-Wolfe step needs.
     milp passes the problem to HiGHS with less per-call work than linprog,
     which matters for the many tiny LPs of gw2_solve. Returns (Coupling,
-    optimal value). Marginals must have equal total mass, and neither side
-    may exceed OT_EXACT_CAP points. scipy.optimize and scipy.sparse are
-    imported on the first call, not with conicot.
+    optimal value). A cost with a leading stack axis is a stack of problems
+    with the same marginals: the coupling matrix and the values then carry
+    that axis, and the problems are solved as block-diagonal LPs of at most
+    OT_STACK_VARS variables (or one problem) each. Marginals must have
+    equal total mass, and neither side may exceed OT_EXACT_CAP points.
+    scipy.optimize and scipy.sparse are imported on the first call, not
+    with conicot.
     """
     from scipy import optimize
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape
+    n, m = cost.shape[-2:]
     _check_equal_mass(a, b)
     if n > OT_EXACT_CAP or m > OT_EXACT_CAP:
         raise CapExceeded(f"sizes ({n},{m}) exceed cap {OT_EXACT_CAP}")
+    flat = cost.reshape(-1, n * m)
+    per_lp = max(1, OT_STACK_VARS // (n * m))
     b_eq = np.concatenate([a, b])[:-1]
-    res = optimize.milp(cost.ravel(), constraints=optimize.LinearConstraint(
-        _transport_constraints(n, m), b_eq, b_eq))
-    if not res.success:
-        raise MassMismatch(f"LP failed: {res.message}")
-    pi = np.maximum(res.x.reshape(n, m), 0.0)
-    return Coupling(pi, a, b), float((pi * cost).sum())
+    x = []
+    for s in range(0, len(flat), per_lp):
+        c = flat[s:s + per_lp]
+        bounds = np.tile(b_eq, len(c))
+        res = optimize.milp(c.ravel(), constraints=optimize.LinearConstraint(
+            _transport_constraints(n, m, len(c)), bounds, bounds))
+        if not res.success:
+            raise MassMismatch(f"LP failed: {res.message}")
+        x.append(res.x)
+    pi = np.maximum(np.concatenate(x).reshape(cost.shape), 0.0)
+    value = (pi * cost).sum(axis=(-2, -1))
+    return Coupling(pi, a, b), float(value) if cost.ndim == 2 else value
 
 
 def _round_to_polytope(pi, a, b):
@@ -132,18 +152,25 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     _check_equal_mass(a, b)
     wx, wy = nx.kernel, ny.kernel
     rng = np.random.default_rng(config.seed)
-    inits = [np.outer(a, b) / max(b.sum(), 1e-300)]
+    pis = [np.outer(a, b) / max(b.sum(), 1e-300)]
     for _ in range(config.restarts - 1):
         noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
-        pi0 = _round_to_polytope(inits[0] * noise, a, b)
-        inits.append(pi0)
+        pis.append(_round_to_polytope(pis[0] * noise, a, b))
 
-    best = None
-    for pi in inits:
-        obj = _gw_objective(wx, wy, pi)
-        for _ in range(config.max_iters):
-            grad = _gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi)
-            delta = ot_exact(a, b, grad)[0].matrix - pi
+    # the restarts step in lockstep, so each step solves one stacked LP for
+    # the live ones; a restart leaves the stack when it meets tol
+    objs = [_gw_objective(wx, wy, pi) for pi in pis]
+    live = list(range(len(pis)))
+    for _ in range(config.max_iters):
+        if not live:
+            break
+        grads = [_gw_linear_term(wx, wy, pis[r]) + _gw_linear_term(wx.T, wy.T, pis[r])
+                 for r in live]
+        vertices = ot_exact(a, b, np.stack(grads))[0].matrix
+        still = []
+        for r, grad, vertex in zip(live, grads, vertices):
+            pi, obj = pis[r], objs[r]
+            delta = vertex - pi
             # the objective along pi + t delta is obj + t lin + t^2 quad exactly
             lin = float((grad * delta).sum())
             quad = _gw_objective(wx, wy, delta)
@@ -151,16 +178,14 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
                 t = np.clip(-lin / (2.0 * quad), 0.0, 1.0)
             else:
                 t = 1.0 if lin + quad < 0 else 0.0
-            pi = pi + t * delta
+            pis[r] = pi + t * delta
             new_obj = obj + t * lin + t * t * quad
-            if obj - new_obj <= config.tol * max(1.0, abs(obj)):
-                obj = min(obj, new_obj)
-                break
-            obj = new_obj
-        if best is None or obj < best[0]:
-            best = (obj, pi)
-    obj, pi = best
-    return 0.5 * float(np.sqrt(max(obj, 0.0))), Coupling(pi, a, b)
+            objs[r] = min(obj, new_obj)
+            if obj - new_obj > config.tol * max(1.0, abs(obj)):
+                still.append(r)
+        live = still
+    best = int(np.argmin(objs))  # the first restart with the smallest objective
+    return 0.5 * float(np.sqrt(max(objs[best], 0.0))), Coupling(pis[best], a, b)
 
 
 def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,

@@ -10,7 +10,6 @@ solver runs.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -204,6 +203,7 @@ def load_json(path):
     A top level that is not a JSON object, or a missing field, raises
     ValueError naming the file and the field.
     """
+    import json  # not loaded with conicot
     with open(path) as f:
         d = json.load(f)
     if not isinstance(d, dict):

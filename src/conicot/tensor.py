@@ -38,7 +38,6 @@ import dataclasses
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -154,6 +153,7 @@ def _omega_matrix(kernel: ConeKernel, wx: np.ndarray, wy: np.ndarray) -> np.ndar
     if workers == 1:
         fill(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging too
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(workers)))
     return out
@@ -264,13 +264,21 @@ def _off_background(ids, bg):
 def _factors(dims, xs, ys, gamma, bins):
     """XG[j, (c, i)] = gamma[xi_ij, bins[c]] and Ys[k, (l, c)] = [yi_kl = bins[c]].
 
-    xs and ys are the off-background entries of the two bin-id arrays.
+    xs and ys are the off-background entries of the two bin-id arrays. A
+    dense XG is filled in place from its values, one row per off-background
+    x entry, so the build holds no full-size index arrays.
     """
     n, np_, m, mp = dims
     C = bins.size
     i, j, u = xs
-    XG = _store((np_, C * n), np.repeat(j, C), (np.arange(C) * n + i[:, None]).ravel(),
-                gamma[u][:, bins].ravel())
+    g = gamma[:, bins]
+    if _is_sparse(np_, C * n, np.count_nonzero(g, axis=1)[u].sum()):
+        e, c = np.nonzero(g[u])
+        XG = _store((np_, C * n), j[e], c * n + i[e], g[u[e], c])
+    else:
+        XG = np.zeros((np_, C, n))
+        XG[j, :, i] = g[u]
+        XG = XG.reshape(np_, C * n)
     pos = np.full(gamma.shape[1], -1)
     pos[bins] = np.arange(C)
     k, l, v = ys

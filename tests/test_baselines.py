@@ -14,7 +14,7 @@ from conicot import (
     ot_exact,
     validate_network,
 )
-from conicot.baselines import _gw_objective, _gw_linear_term
+from conicot.baselines import OT_STACK_VARS, _gw_linear_term, _gw_objective, _round_to_polytope
 from conicot.errors import CapExceeded, MassMismatch, NegativeArgument
 from tests.conftest import random_hypernetwork, random_network
 
@@ -77,6 +77,98 @@ def test_ot_exact_returns_a_feasible_optimal_vertex(shape):
         reference = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
                                            bounds=(0, None), method="highs")
         assert value == pytest.approx(reference.fun, abs=1e-10)
+
+
+def _random_transport(r, n, m):
+    a = r.uniform(0.5, 1.5, size=n)
+    b = r.uniform(0.5, 1.5, size=m)
+    return a, b * a.sum() / b.sum()
+
+
+@pytest.mark.parametrize("shape, height", [((6, 5), 1), ((3, 7), 4), ((6, 4), 9),
+                                           ((6, 5), OT_STACK_VARS // 30 + 1)])
+def test_ot_exact_stack_equals_slice_calls(shape, height, monkeypatch):
+    # random costs and marginals: each LP has one optimal vertex. The last
+    # stack is past the variable cap, so it takes two LPs.
+    n, m = shape
+    r = np.random.default_rng([n, m, height])
+    a, b = _random_transport(r, n, m)
+    costs = r.uniform(size=(height, n, m))
+    lps = [0]
+    milp = scipy.optimize.milp
+
+    def counting(*args, **kw):
+        lps[0] += 1
+        return milp(*args, **kw)
+    monkeypatch.setattr(scipy.optimize, "milp", counting)
+    coupling, values = ot_exact(a, b, costs)
+    assert lps[0] == -(-height // (OT_STACK_VARS // (n * m)))
+    assert coupling.matrix.shape == costs.shape and values.shape == (height,)
+    assert coupling.feasible()
+    for cost, pi, value in zip(costs, coupling.matrix, values):
+        one, one_value = ot_exact(a, b, cost)
+        assert isinstance(one_value, float)
+        assert np.abs(pi - one.matrix).max() <= 1e-12
+        assert abs(value - one_value) <= 1e-12
+
+
+def _gw2_per_restart(nx, ny, config):
+    """gw2_solve's restarts one after another, one 2-D ot_exact per step: the
+    loop that the lockstep solve replaced, with the same starts and step rule.
+
+    Returns (value, every restart's final coupling, the best restart, the
+    steps of each restart).
+    """
+    a, b = nx.weights, ny.weights
+    wx, wy = nx.kernel, ny.kernel
+    rng = np.random.default_rng(config.seed)
+    inits = [np.outer(a, b) / max(b.sum(), 1e-300)]
+    for _ in range(config.restarts - 1):
+        noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
+        inits.append(_round_to_polytope(inits[0] * noise, a, b))
+    objs, finals, steps = [], [], []
+    for pi in inits:
+        obj = _gw_objective(wx, wy, pi)
+        for step in range(1, config.max_iters + 1):
+            grad = _gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi)
+            delta = ot_exact(a, b, grad)[0].matrix - pi
+            lin = float((grad * delta).sum())
+            quad = _gw_objective(wx, wy, delta)
+            if quad > 0:
+                t = np.clip(-lin / (2.0 * quad), 0.0, 1.0)
+            else:
+                t = 1.0 if lin + quad < 0 else 0.0
+            pi = pi + t * delta
+            new_obj = obj + t * lin + t * t * quad
+            if obj - new_obj <= config.tol * max(1.0, abs(obj)):
+                obj = min(obj, new_obj)
+                break
+            obj = new_obj
+        else:
+            step = config.max_iters
+        objs.append(obj)
+        finals.append(pi)
+        steps.append(step)
+    best = int(np.argmin(objs))  # the first restart with the smallest objective
+    return 0.5 * float(np.sqrt(max(objs[best], 0.0))), finals, best, steps
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 6])
+@pytest.mark.parametrize("n, m, cap", [(5, 6, OT_STACK_VARS), (12, 10, OT_STACK_VARS),
+                                       (16, 20, OT_STACK_VARS), (5, 6, 64), (9, 8, 64)])
+def test_gw2_lockstep_equals_per_restart_loop(n, m, cap, restarts, monkeypatch):
+    # at the default cap every stack here is one LP; at cap 64 a 5 x 6
+    # problem stacks two restarts per LP and a 9 x 8 one none
+    monkeypatch.setattr(conicot.baselines, "OT_STACK_VARS", cap)
+    for seed in range(3):
+        r = np.random.default_rng([n, m, seed])
+        nx = random_network(r, n, unit_mass=True)
+        ny = random_network(r, m, unit_mass=True)
+        config = BaselineConfig(restarts=restarts, seed=seed, max_iters=60, tol=1e-8)
+        value, coupling = gw2_solve(nx, ny, config)
+        ref_value, finals, best, _ = _gw2_per_restart(nx, ny, config)
+        assert abs(value - ref_value) <= 1e-12
+        assert np.abs(coupling.matrix - finals[best]).max() <= 1e-12
 
 
 def test_gw_linear_term_matches_loop(rng):
@@ -172,6 +264,15 @@ def test_gw2_three_linear_terms_per_step(rng, monkeypatch):
     gw2_solve(nx, ny, BaselineConfig(restarts=1))
     assert calls["ot_exact"] > 1
     assert calls["_gw_linear_term"] == 1 + 3 * calls["ot_exact"]
+    # the restarts step in lockstep: one stacked ot_exact per step, as many
+    # as the longest restart takes, and three terms per restart step
+    config = BaselineConfig(restarts=4)
+    monkeypatch.undo()
+    steps = _gw2_per_restart(nx, ny, config)[3]
+    calls = _count_calls(monkeypatch, "_gw_linear_term", "ot_exact")
+    gw2_solve(nx, ny, config)
+    assert calls["ot_exact"] == max(steps) < sum(steps)
+    assert calls["_gw_linear_term"] == 4 + 3 * sum(steps)
 
 
 def test_cot_two_linear_terms_per_alternation(rng, monkeypatch):

@@ -1,5 +1,7 @@
 """What a fresh interpreter loads: `import conicot` brings numpy and conicot's
 own modules, and scipy.sparse and scipy.optimize load only on first use.
+Neither json (read by load_json and the CLI) nor concurrent.futures (a
+multi-threaded dense build) loads with the package.
 
 Each case runs in its own interpreter, since sys.modules remembers every
 import of the test session.
@@ -14,12 +16,17 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# sys.modules is read before the report imports json to print it
 _REPORT = """
-import json, sys
-print(json.dumps({m: m in sys.modules for m in ("scipy.sparse", "scipy.optimize")}))
+import sys
+loaded = sorted(m for m in ("scipy.sparse", "scipy.optimize", "json", "concurrent.futures")
+                if m in sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
 _CASES = {
+    "conicot": "import conicot",
     "import": "import conicot, conicot.cli",
     "dense_cgw": """
 import numpy as np
@@ -50,11 +57,13 @@ assert value == 0.0 and np.array_equal(coupling.matrix, np.diag(a))
 """,
 }
 
+# scipy.sparse itself imports json and concurrent.futures
 _LOADED = {
-    "import": {"scipy.sparse": False, "scipy.optimize": False},
-    "dense_cgw": {"scipy.sparse": False, "scipy.optimize": False},
-    "csr_bench": {"scipy.sparse": True, "scipy.optimize": False},
-    "ot_exact": {"scipy.sparse": True, "scipy.optimize": True},
+    "conicot": [],
+    "import": ["json"],
+    "dense_cgw": [],
+    "csr_bench": ["concurrent.futures", "json", "scipy.sparse"],
+    "ot_exact": ["concurrent.futures", "json", "scipy.optimize", "scipy.sparse"],
 }
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from conicot import (
     validate_hypernetwork,
 )
 from conicot.errors import DimensionMismatch, NegativeArgument, NonFinite
-from conicot.tensor import _omega_matrix, _quantize
+from conicot.tensor import _omega_matrix, _quantize, _split_table
 from tests.conftest import random_hypernetwork, random_network, tensor_oracle
 
 
@@ -361,6 +362,34 @@ def test_factored_stores_factors_over_budget(rng):
     dense = build_tensor(hx, hy, k)
     M = rng.uniform(size=(6, 7))
     _assert_close(contract(t, Side.FeatureSide, M), contract(dense, Side.FeatureSide, M))
+
+
+def test_factored_build_peak_is_bounded_by_stored_factors():
+    # continuous 200-node kernels in 64 equal-width bins: XG is dense, and
+    # filling it in place keeps the build within 2.5x of what it stores
+    rng = np.random.default_rng(0)
+    hx, hy = (embed_network_as_hypernetwork(random_network(rng, 200)) for _ in range(2))
+    k = make_kernel("exp", 0.5)
+    policy = TensorPolicy(max_dense_bytes=8 * 200**3)
+    tracemalloc.start()
+    try:
+        t = build_tensor(hx, hy, k, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.mode is TensorMode.Factored
+    XG, Ys = t.factors
+    assert isinstance(XG, np.ndarray) and sparse.issparse(Ys)
+    stored = XG.nbytes + Ys.data.nbytes + Ys.indices.nbytes + Ys.indptr.nbytes
+    assert peak <= 2.5 * stored
+    # the factors by their definition, over the y-bins that occur with a
+    # nonzero gamma column
+    (xv, xid, _), (yv, yid, _) = _quantize(hx.kernel, 64), _quantize(hy.kernel, 64)
+    gamma = _split_table(omega_of_gap(k, xv[:, None], yv[None, :]), *t.background)[2]
+    bins = np.flatnonzero(np.isin(np.arange(yv.size), yid) & gamma.any(axis=0))
+    C = bins.size
+    assert np.array_equal(XG, gamma[:, bins][xid].transpose(1, 2, 0).reshape(200, C * 200))
+    assert np.array_equal(Ys.toarray(), (yid[:, :, None] == bins).reshape(200, 200 * C))
 
 
 @pytest.mark.parametrize("name", ["cos", "exp"])
