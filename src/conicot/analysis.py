@@ -31,7 +31,7 @@ from .cone import ConeKernel, _ccot_d2, kernel_constants
 from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_measure,
                    tv_gap, validate_network)
 from .data import perturb_measure
-from .errors import NegativeArgument
+from .errors import check_count
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,
@@ -252,8 +252,7 @@ def robustness_probe(net: DiscreteMeasureNetwork, eps: float, trials: int,
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    if trials < 1:
-        raise NegativeArgument(f"trials = {trials} is below 1")
+    check_count("trials", trials, 1)
     delta = config.kernel.delta
     bound = _envelope(delta, net.mass, eps)
     rng = np.random.default_rng(config.seed)

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
-from .errors import CapExceeded, MassMismatch, NegativeArgument
+from .errors import CapExceeded, MassMismatch, NegativeArgument, check_count
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
 # most variables in one stacked ot_exact linear program. Separate small LPs
@@ -133,9 +133,10 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 0), ("tol", 0)):
-            if not (getattr(self, name) >= low):  # NaN fails too
-                raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
+        check_count("restarts", self.restarts, 1)
+        check_count("max_iters", self.max_iters, 0)
+        if not self.tol >= 0:  # NaN fails too
+            raise NegativeArgument(f"tol = {self.tol} is below 0")
 
 
 def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,

@@ -4,7 +4,9 @@ Results go to standard output as JSON (CSV for bench), diagnostics to the
 error stream. Every run writes a run_manifest.json next to --output (or in
 the working directory) recording the command, arguments, seed, configuration,
 input hashes, and wall time. Exit codes: 0 success, 1 validation error,
-2 verification assertion failure.
+2 verification assertion failure. Each command, and each verify probe, is one
+entry of the command table: its inputs, its flags, and the function that makes
+its result.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .analysis import (
 from .baselines import BaselineConfig, cot_solve, gw2_solve
 from .cone import make_kernel
 from .core import (
-    DiscreteMeasureHypernetwork,
     DiscreteMeasureNetwork,
     embed_network_as_hypernetwork,
     load_json,
@@ -69,92 +70,6 @@ _OPTIONS = {
 }
 _SOLVE = ("delta", "kernel", "max-iters", "tol", "restarts", "seed", "quantize")
 
-# each verify probe: the number of input networks it reads, and its flags
-_PROBES = {
-    "scaling": (1, ("r", "s", *_SOLVE)),
-    "bounds": (2, _SOLVE),
-    "robustness": (1, ("eps", "trials", *_SOLVE)),
-    "weakiso": (1, _SOLVE),
-    "fragility": (0, ("eps", "f-eps")),
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser that takes a flag only under its full name; its subparsers too."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
-def _add_options(p, *names):
-    """Declare the table options a subcommand or probe reads, and --output."""
-    for name in names:
-        p.add_argument(f"--{name}", **_OPTIONS[name])
-    p.add_argument("--output", default=None)
-
-
-def build_parser():
-    ap = _Parser(prog="conicot")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, options in (("ccot", (*_SOLVE, "trace")), ("cgw", (*_SOLVE, "trace")),
-                          ("gw2", ("max-iters", "restarts", "seed")),
-                          ("cot", ("max-iters",)),
-                          ("uot-bound", ("delta", "kernel", "max-iters"))):
-        p = sub.add_parser(name)
-        p.add_argument("inputs", nargs=2)
-        _add_options(p, *options)
-
-    p = sub.add_parser("delta-sweep")
-    p.add_argument("inputs", nargs=2)
-    p.add_argument("--deltas", default="0.5,1,2,4,8,16,32")
-    p.add_argument("--csv", default=None)
-    _add_options(p, *(o for o in _SOLVE if o != "delta"))
-
-    probes = sub.add_parser("verify").add_subparsers(dest="probe", required=True)
-    for name, (inputs, options) in _PROBES.items():
-        p = probes.add_parser(name)
-        if inputs:
-            p.add_argument("inputs", nargs=inputs)
-        _add_options(p, *options)
-
-    p = sub.add_parser("gen-squares")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--g", type=int, default=4)
-    p.add_argument("--side", type=int, default=3)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--dir", default=".")
-    _add_options(p, "seed")
-
-    p = sub.add_parser("img2net")
-    p.add_argument("inputs", nargs=1)
-    p.add_argument("--n-sample", type=int, default=60)
-    p.add_argument("--knn", type=int, default=4)
-    _add_options(p, "seed")
-
-    p = sub.add_parser("gen-aligned")
-    p.add_argument("--cells", type=int, default=500)
-    p.add_argument("--feat-x", type=int, default=10)
-    p.add_argument("--feat-y", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--downsample", type=float, default=1.0)
-    p.add_argument("--dir", default=".")
-    _add_options(p, "seed")
-
-    p = sub.add_parser("classify")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--k", type=int, default=15)
-    p.add_argument("--label-rate", type=float, default=0.8)
-    p.add_argument("--trials", type=int, default=100)
-    _add_options(p, "seed")
-
-    p = sub.add_parser("bench")
-    p.add_argument("--sizes", default="20,60")
-    _add_options(p, "delta", "kernel", "max-iters", "tol", "seed")
-    return ap
-
 
 def _policy(args) -> TensorPolicy:
     if str(args.quantize).lower() == "off":
@@ -175,42 +90,8 @@ def _config(args, delta=None, restarts=None, policy=None) -> SolverConfig:
 
 
 def _hash_file(path):
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
-
-
-def _write_manifest(args, argv, t0, restarts=None):
-    inputs = list(getattr(args, "inputs", []) or [])
-    for extra in ("features", "labels"):
-        v = getattr(args, extra, None)
-        if v:
-            inputs.append(v)
-    manifest = {
-        "command": args.command,
-        "argv": argv,
-        "seed": getattr(args, "seed", None),
-        "config": {k: v for k, v in vars(args).items()
-                   if k not in ("command", "probe", "inputs")},
-        "tool_version": __version__,
-        "input_hashes": {p: _hash_file(p) for p in inputs if os.path.exists(p)},
-        "wall_time": time.perf_counter() - t0,
-    }
-    if restarts is not None:  # each restart's outcome, for the solve commands
-        manifest["restarts"] = restarts
-    out_dir = os.path.dirname(args.output) if args.output else "."
-    path = os.path.join(out_dir or ".", "run_manifest.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2)
-
-
-def _emit(args, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _load_two_hyper(paths):
@@ -233,22 +114,92 @@ def _load_networks(paths):
     return nets
 
 
-def _write_trace(args, report):
+def _solved(args, report):
+    """The solve report as JSON, after writing --trace."""
     if args.trace:
         with open(args.trace, "w") as f:
             json.dump({"objective_trace": report.objective_trace,
                        "frobenius_gap": report.frobenius_gap}, f)
+    return report.to_json_dict()
 
 
-def bench_runner(sizes, args):
-    """cgw_solve runs on seeded square-image networks of growing size, each
-    timed by its report's wall_time.
+def _probe_args(args, *flags):
+    """A verify probe's arguments: its input networks, its flags and its solve
+    config, which is checked before the networks are read."""
+    config = _config(args)
+    return (*_load_networks(args.inputs), *flags, config)
+
+
+def _uot_bound(args):
+    nets = _load_networks(args.inputs)
+    rep = cgw_lower_bound(nets[0], nets[1], make_kernel(args.kernel, args.delta),
+                          max_iters=args.max_iters)
+    return {"distance": rep.value, "objective": rep.objective,
+            "iterations": rep.iterations, "converged": rep.converged,
+            "config": {"delta": args.delta, "kernel": args.kernel}}
+
+
+def _delta_sweep(args):
+    nets = _load_networks(args.inputs)
+    deltas = [float(x) for x in args.deltas.split(",")]
+    # every row sets its own delta; the first stands in for the config's
+    table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
+    if args.csv:
+        with open(args.csv, "w") as f:
+            f.write("delta,cgw,reference,rel_gap,sweeps,stop\n")
+            for row in table["rows"]:
+                f.write("{delta},{cgw},{reference},{rel_gap},{sweeps},{stop}\n"
+                        .format(**row))
+    return table
+
+
+def _gen_squares(args):
+    imgs = gen_squares(args.count, g=args.g, side=args.side,
+                       image_size=args.size, seed=args.seed)
+    os.makedirs(args.dir, exist_ok=True)
+    paths = []
+    for i, img in enumerate(imgs):
+        p = os.path.join(args.dir, f"square_{i:04d}.csv")
+        np.savetxt(p, img, delimiter=",")
+        paths.append(p)
+    return {"written": paths, "seed": args.seed,
+            "params": {"count": args.count, "g": args.g,
+                       "side": args.side, "size": args.size}}
+
+
+def _gen_aligned(args):
+    hx, hy, corr = gen_aligned_hypernetworks(
+        args.cells, args.feat_x, args.feat_y, noise=args.noise,
+        downsample_y=args.downsample, seed=args.seed)
+    os.makedirs(args.dir, exist_ok=True)
+    paths = []
+    for name, obj in (("hx", hx.to_json_dict()), ("hy", hy.to_json_dict()),
+                      ("correspondence", {"cells": corr["cells"],
+                                          "features": corr["features"]})):
+        p = os.path.join(args.dir, f"aligned_{name}.json")
+        with open(p, "w") as f:
+            json.dump(obj, f)
+        paths.append(p)
+    return {"written": paths}
+
+
+def _classify(args):
+    feats = np.loadtxt(args.features, delimiter=",", ndmin=2)
+    labels = np.loadtxt(args.labels, delimiter=",").astype(int)
+    mean, std = knn_classify(feats, labels, k=args.k, label_rate=args.label_rate,
+                             trials=args.trials, seed=args.seed)
+    return {"mean_error": mean, "std_error": std}
+
+
+def bench_runner(args):
+    """CSV rows of cgw_solve runs on seeded square-image networks of the --sizes,
+    each timed by its report's wall_time.
 
     The sampled pixels' kNN adjacency carries uniform node weights: most
     sampled pixels are dark, and intensity weights would leave about one live
     node, a problem solved at distance 0 in one sweep."""
     rows = ["size,iters,stop,seconds,distance"]
-    for n in sizes:
+    for n in [int(x) for x in args.sizes.split(",")]:
         imgs = gen_squares(2, g=4, side=3, image_size=32, seed=args.seed)
         # sampling first rejects a size outside (knn, pixel count] with an error
         kernels = [image_to_network(img, n_sample=n, knn=4, seed=s).kernel
@@ -263,126 +214,127 @@ def bench_runner(sizes, args):
     return "\n".join(rows)
 
 
+# Each command, and under "verify" each probe: the number of input files it
+# reads; its flags, each a name in _OPTIONS or a (name, argparse spec) pair
+# of its own (every command also takes --output); and the function of the
+# parsed arguments that makes its result, a dict or, for bench, CSV text.
+_COMMANDS = {
+    "ccot": (2, (*_SOLVE, "trace"),
+             lambda a: _solved(a, bca_solve(*_load_two_hyper(a.inputs), _config(a))[2])),
+    "cgw": (2, (*_SOLVE, "trace"),
+            lambda a: _solved(a, cgw_solve(*_load_networks(a.inputs), _config(a))[1])),
+    "gw2": (2, ("max-iters", "restarts", "seed"), lambda a: {
+        "distance": gw2_solve(*_load_networks(a.inputs), BaselineConfig(
+            seed=a.seed, restarts=a.restarts, max_iters=a.max_iters))[0],
+        "config": {"seed": a.seed}}),
+    "cot": (2, ("max-iters",), lambda a: {"distance": cot_solve(
+        *_load_two_hyper(a.inputs), BaselineConfig(max_iters=a.max_iters))[0]}),
+    "uot-bound": (2, ("delta", "kernel", "max-iters"), _uot_bound),
+    "delta-sweep": (2, (("deltas", dict(default="0.5,1,2,4,8,16,32")),
+                        ("csv", dict(default=None)),
+                        *(o for o in _SOLVE if o != "delta")), _delta_sweep),
+    "verify": {
+        "scaling": (1, ("r", "s", *_SOLVE), lambda a: verify_scaling(*_probe_args(a, a.r, a.s))),
+        "bounds": (2, _SOLVE, lambda a: verify_bound_sandwich(*_probe_args(a))),
+        "robustness": (1, ("eps", "trials", *_SOLVE),
+                       lambda a: robustness_probe(*_probe_args(a, a.eps, a.trials))),
+        "weakiso": (1, _SOLVE, lambda a: weak_iso_probe(*_probe_args(a))),
+        "fragility": (0, ("eps", "f-eps"), lambda a: gw_fragility_demo(a.eps, a.f_eps)),
+    },
+    "gen-squares": (0, (("count", dict(type=int, default=10)), ("g", dict(type=int, default=4)),
+                        ("side", dict(type=int, default=3)), ("size", dict(type=int, default=32)),
+                        ("dir", dict(default=".")), "seed"), _gen_squares),
+    "img2net": (1, (("n-sample", dict(type=int, default=60)), ("knn", dict(type=int, default=4)),
+                    "seed"),
+                lambda a: image_to_network(np.loadtxt(a.inputs[0], delimiter=","),
+                                           n_sample=a.n_sample, knn=a.knn,
+                                           seed=a.seed).to_json_dict()),
+    "gen-aligned": (0, (("cells", dict(type=int, default=500)),
+                        ("feat-x", dict(type=int, default=10)),
+                        ("feat-y", dict(type=int, default=10)),
+                        ("noise", dict(type=float, default=0.1)),
+                        ("downsample", dict(type=float, default=1.0)),
+                        ("dir", dict(default=".")), "seed"), _gen_aligned),
+    "classify": (0, (("features", dict(required=True)), ("labels", dict(required=True)),
+                     ("k", dict(type=int, default=15)),
+                     ("label-rate", dict(type=float, default=0.8)),
+                     ("trials", dict(type=int, default=100)), "seed"), _classify),
+    "bench": (0, (("sizes", dict(default="20,60")),
+                  "delta", "kernel", "max-iters", "tol", "seed"), bench_runner),
+}
+
+
+def _add_commands(sub, table):
+    """One parser per table entry; every parser takes a flag only under its full name."""
+    for name, entry in table.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        if isinstance(entry, dict):  # verify: one nested parser per probe
+            _add_commands(p.add_subparsers(dest="probe", required=True), entry)
+            continue
+        inputs, flags, run = entry
+        if inputs:
+            p.add_argument("inputs", nargs=inputs)
+        for flag in flags:
+            flag, spec = (flag, _OPTIONS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(f"--{flag}", **spec)
+        p.add_argument("--output", default=None)
+        p.set_defaults(run=run)
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(prog="conicot", allow_abbrev=False)
+    ap.add_argument("--version", action="version", version=__version__)
+    _add_commands(ap.add_subparsers(dest="command", required=True), _COMMANDS)
+    return ap
+
+
+def _write_manifest(args, argv, t0, result):
+    # the positional input files, and classify's two
+    inputs = [*getattr(args, "inputs", []),
+              *(getattr(args, k) for k in ("features", "labels") if hasattr(args, k))]
+    manifest = {
+        "command": args.command,
+        "argv": argv,
+        "seed": getattr(args, "seed", None),
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("command", "probe", "inputs", "run")},
+        "tool_version": __version__,
+        "input_hashes": {p: _hash_file(p) for p in inputs if os.path.exists(p)},
+        "wall_time": time.perf_counter() - t0,
+    }
+    if isinstance(result, dict) and "restarts" in result:  # the solve commands
+        manifest["restarts"] = result["restarts"]
+    out_dir = os.path.dirname(args.output) if args.output else "."
+    path = os.path.join(out_dir or ".", "run_manifest.json")
+    with open(path, "w") as f:
+        json.dump(manifest, f, indent=2)
+
+
+def _emit(args, result):
+    """Print the result, JSON or CSV text, and write it to --output."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2,
+                                                             sort_keys=True)
+    print(text)
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text + "\n")
+
+
 def run_command(argv) -> int:
     t0 = time.perf_counter()
     args = build_parser().parse_args(argv)
-    restarts = None
     try:
-        if args.command in ("ccot", "cgw"):
-            if args.command == "cgw":
-                nets = _load_networks(args.inputs)
-                dist, report = cgw_solve(nets[0], nets[1], _config(args))
-            else:
-                hx, hy = _load_two_hyper(args.inputs)
-                dist, _, report = bca_solve(hx, hy, _config(args))
-            _write_trace(args, report)
-            _emit(args, report.to_json_dict())
-            restarts = report.restarts
-        elif args.command == "gw2":
-            nets = _load_networks(args.inputs)
-            value, _ = gw2_solve(nets[0], nets[1],
-                                 BaselineConfig(seed=args.seed,
-                                                restarts=args.restarts,
-                                                max_iters=args.max_iters))
-            _emit(args, {"distance": value, "config": {"seed": args.seed}})
-        elif args.command == "cot":
-            hx, hy = _load_two_hyper(args.inputs)
-            value, _, _ = cot_solve(hx, hy, BaselineConfig(max_iters=args.max_iters))
-            _emit(args, {"distance": value})
-        elif args.command == "uot-bound":
-            nets = _load_networks(args.inputs)
-            rep = cgw_lower_bound(nets[0], nets[1],
-                                  make_kernel(args.kernel, args.delta),
-                                  max_iters=args.max_iters)
-            _emit(args, {"distance": rep.value, "objective": rep.objective,
-                         "iterations": rep.iterations, "converged": rep.converged,
-                         "config": {"delta": args.delta, "kernel": args.kernel}})
-        elif args.command == "delta-sweep":
-            nets = _load_networks(args.inputs)
-            deltas = [float(x) for x in args.deltas.split(",")]
-            # every row sets its own delta; the first stands in for the config's
-            table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
-            if args.csv:
-                with open(args.csv, "w") as f:
-                    f.write("delta,cgw,reference,rel_gap,sweeps,stop\n")
-                    for row in table["rows"]:
-                        f.write("{delta},{cgw},{reference},{rel_gap},{sweeps},{stop}\n"
-                                .format(**row))
-            _emit(args, table)
-        elif args.command == "verify":
-            report = _run_verify(args)
-            _emit(args, report)
-            if not report.get("pass", False):
-                _write_manifest(args, list(argv), t0)
-                return 2
-        elif args.command == "gen-squares":
-            imgs = gen_squares(args.count, g=args.g, side=args.side,
-                               image_size=args.size, seed=args.seed)
-            os.makedirs(args.dir, exist_ok=True)
-            paths = []
-            for i, img in enumerate(imgs):
-                p = os.path.join(args.dir, f"square_{i:04d}.csv")
-                np.savetxt(p, img, delimiter=",")
-                paths.append(p)
-            _emit(args, {"written": paths, "seed": args.seed,
-                         "params": {"count": args.count, "g": args.g,
-                                    "side": args.side, "size": args.size}})
-        elif args.command == "img2net":
-            img = np.loadtxt(args.inputs[0], delimiter=",")
-            net = image_to_network(img, n_sample=args.n_sample, knn=args.knn,
-                                   seed=args.seed)
-            _emit(args, net.to_json_dict())
-        elif args.command == "gen-aligned":
-            hx, hy, corr = gen_aligned_hypernetworks(
-                args.cells, args.feat_x, args.feat_y, noise=args.noise,
-                downsample_y=args.downsample, seed=args.seed)
-            os.makedirs(args.dir, exist_ok=True)
-            px = os.path.join(args.dir, "aligned_hx.json")
-            py = os.path.join(args.dir, "aligned_hy.json")
-            pc = os.path.join(args.dir, "aligned_correspondence.json")
-            with open(px, "w") as f:
-                json.dump(hx.to_json_dict(), f)
-            with open(py, "w") as f:
-                json.dump(hy.to_json_dict(), f)
-            with open(pc, "w") as f:
-                json.dump({"cells": corr["cells"], "features": corr["features"]}, f)
-            _emit(args, {"written": [px, py, pc]})
-        elif args.command == "classify":
-            feats = np.loadtxt(args.features, delimiter=",", ndmin=2)
-            labels = np.loadtxt(args.labels, delimiter=",").astype(int)
-            mean, std = knn_classify(feats, labels, k=args.k,
-                                     label_rate=args.label_rate,
-                                     trials=args.trials, seed=args.seed)
-            _emit(args, {"mean_error": mean, "std_error": std})
-        elif args.command == "bench":
-            sizes = [int(x) for x in args.sizes.split(",")]
-            csv = bench_runner(sizes, args)
-            print(csv)
-            if args.output:
-                with open(args.output, "w") as f:
-                    f.write(csv + "\n")
-        _write_manifest(args, list(argv), t0, restarts)
-        return 0
+        result = args.run(args)
+        _emit(args, result)
+        _write_manifest(args, list(argv), t0, result)
     except ConicotError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:
         print(f"error: validation: {e}", file=sys.stderr)
         return 1
-
-
-def _run_verify(args):
-    if args.probe == "fragility":
-        return gw_fragility_demo(args.eps, args.f_eps)
-    config = _config(args)
-    nets = _load_networks(args.inputs)
-    if args.probe == "scaling":
-        return verify_scaling(nets[0], args.r, args.s, config)
-    if args.probe == "bounds":
-        return verify_bound_sandwich(*nets, config)
-    if args.probe == "robustness":
-        return robustness_probe(nets[0], args.eps, args.trials, config)
-    return weak_iso_probe(nets[0], config)
+    # a verify probe that fails its check
+    return 2 if args.command == "verify" and not result.get("pass", False) else 0
 
 
 def main():

@@ -27,6 +27,8 @@ class ConeKernel:
     delta: float
 
     def __post_init__(self):
+        # a KernelFamily or its CLI name ("cos", "exp"); any other value raises ValueError
+        object.__setattr__(self, "family", KernelFamily(self.family))
         if not (0 < self.delta < np.inf):
             raise NegativeArgument(f"delta must be positive and finite, got {self.delta}")
 
@@ -49,7 +51,7 @@ class KernelConstants:
 
 def make_kernel(name: str, delta: float) -> ConeKernel:
     """Build a kernel from its CLI name ("cos" or "exp")."""
-    return ConeKernel(KernelFamily(name), delta)
+    return ConeKernel(name, delta)
 
 
 def omega_eval(kernel: ConeKernel, z):

@@ -16,8 +16,8 @@ from .errors import (
     EmptyCorrespondence,
     InsufficientMass,
     LengthMismatch,
-    NegativeArgument,
     PlacementFailure,
+    check_count,
 )
 
 SAMPLE_DRAWS = 1000  # pixel draws image_to_network makes before it gives up
@@ -34,8 +34,7 @@ def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
     """
     for name, value, low in (("count", count, 0), ("g", g, 1), ("side", side, 1),
                              ("image_size", image_size, side)):
-        if value < low:
-            raise NegativeArgument(f"{name} = {value} is below {low}")
+        check_count(name, value, low)
     rng = np.random.default_rng(seed)
     images = []
     for _ in range(count):
@@ -70,9 +69,8 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     omega_ij = 1 iff pixel j is among the knn nearest (Euclidean) pixels of
     pixel i, ties broken by sample index.
     """
-    for name, value in (("n_sample", n_sample), ("knn", knn)):
-        if value < 1:
-            raise NegativeArgument(f"{name} = {value} is below 1")
+    check_count("n_sample", n_sample, 1)
+    check_count("knn", knn, 1)
     image = np.asarray(image, dtype=np.float64)
     coords = np.argwhere(np.ones_like(image, dtype=bool)).astype(np.float64)
     total = coords.shape[0]
@@ -118,8 +116,7 @@ def gen_aligned_hypernetworks(n_cells: int, feat_x: int, feat_y: int,
     (x_feature, y_feature) pairs).
     """
     for name, value in (("n_cells", n_cells), ("feat_x", feat_x), ("feat_y", feat_y)):
-        if value < 1:
-            raise NegativeArgument(f"{name} = {value} is below 1")
+        check_count(name, value, 1)
     if not 0 < downsample_y <= 1:
         raise ValueError("downsample_y must lie in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -190,9 +187,8 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
     Returns (mean error, std error) over trials. Euclidean metric on the
     feature rows; vote ties resolved toward the smaller label.
     """
-    for name, value in (("k", k), ("trials", trials)):
-        if value < 1:
-            raise NegativeArgument(f"{name} = {value} is below 1")
+    check_count("k", k, 1)
+    check_count("trials", trials, 1)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[0] != labels.size:

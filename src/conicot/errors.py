@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class ConicotError(Exception):
     """Base class for all package errors."""
@@ -41,6 +43,14 @@ class DimensionMismatch(ConicotError):
 
 class NegativeArgument(ConicotError):
     code = "negative_argument"
+
+
+def check_count(name, value, low):
+    """Raise NegativeArgument unless value is an integer (Python or numpy) >= low."""
+    if not isinstance(value, numbers.Integral):
+        raise NegativeArgument(f"{name} = {value} is not an integer")
+    if value < low:
+        raise NegativeArgument(f"{name} = {value} is below {low}")
 
 
 class NonFinite(ConicotError):

@@ -23,7 +23,7 @@ import numpy as np
 from .cone import ConeKernel, _ccot_d2
 from .core import (DiscreteMeasureHypernetwork, DiscreteMeasureNetwork,
                    embed_network_as_hypernetwork)
-from .errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
+from .errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance, check_count
 from .tensor import (_BLOCK_ENTRIES, PD_CHECK_CAP, DistortionTensor, Side, TensorMode,
                      TensorPolicy, build_tensor, contract, kernel_pd_check)
 
@@ -52,9 +52,10 @@ class SolverConfig:
     extra_inits: list = dataclasses.field(default_factory=list)
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 0), ("rel_tol", 0)):
-            if not (getattr(self, name) >= low):  # NaN fails too
-                raise NegativeArgument(f"{name} = {getattr(self, name)} is below {low}")
+        check_count("restarts", self.restarts, 1)
+        check_count("max_iters", self.max_iters, 0)
+        if not self.rel_tol >= 0:  # NaN fails too
+            raise NegativeArgument(f"rel_tol = {self.rel_tol} is below 0")
 
     def echo(self) -> dict:
         return {

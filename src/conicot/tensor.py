@@ -43,7 +43,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_eval, omega_of_gap
 from .core import DiscreteMeasureHypernetwork
-from .errors import CapExceeded, DimensionMismatch, NegativeArgument
+from .errors import CapExceeded, DimensionMismatch, check_count
 
 
 class TensorMode(enum.Enum):
@@ -62,9 +62,7 @@ class TensorPolicy:
     quantize_bins: int = 64
 
     def __post_init__(self):
-        q = self.quantize_bins
-        if not (isinstance(q, (int, np.integer)) and q >= 1):
-            raise NegativeArgument(f"quantize_bins = {q} is not an integer >= 1")
+        check_count("quantize_bins", self.quantize_bins, 1)
 
     def fits_dense(self, dims) -> bool:
         """Whether a tensor of these dims is stored dense."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
-from .errors import NegativeArgument
+from .errors import check_count
 from .solver import (_ascend, _product_pair, _project_pair, _totals,
                      ccot_distance_from_objective, update_block)
 
@@ -69,8 +69,7 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     the face of its support, below G*, while the product start is still
     climbing at max_iters.
     """
-    if max_iters < 0:
-        raise NegativeArgument(f"max_iters = {max_iters} is below 0")
+    check_count("max_iters", max_iters, 0)
     m, n = mu.masses, nu.masses
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
 

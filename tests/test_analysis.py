@@ -72,7 +72,7 @@ def test_robustness_probe(rng):
         robustness_probe(net, eps=1.5, trials=1, config=_cfg())
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, 1.5])
 def test_robustness_probe_rejects_no_trials(rng, trials):
     # a probe that runs no trial would pass having checked nothing
     net = random_network(rng, 3, unit_mass=True)

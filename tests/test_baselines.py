@@ -299,7 +299,8 @@ def test_gw2_value_is_the_objective_of_its_coupling(seed):
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -3),
                                           ("max_iters", -5), ("tol", -1e-9),
-                                          ("tol", float("nan"))])
+                                          ("tol", float("nan")), ("restarts", 2.5),
+                                          ("max_iters", 2.5)])
 def test_baseline_config_rejects_out_of_range(field, value):
     with pytest.raises(NegativeArgument):
         BaselineConfig(**{field: value})

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conicot import validate_network
+from conicot import gen_aligned_hypernetworks
 from conicot.cli import run_command
 from tests.conftest import random_network
 
@@ -153,19 +153,17 @@ def test_verify_bounds(tmp_path, net_files, capsys, monkeypatch):
 
 
 def test_verify_failure_exits_two(tmp_path, capsys, monkeypatch):
-    # a fragility probe with mismatched closed form cannot pass
-    net = validate_network([1.0], [[0.0]])
-    p = tmp_path / "pt.json"
-    p.write_text(json.dumps(net.to_json_dict()))
-    # force failure via an impossible scaling demand: r == s gives bound 0,
-    # distance 0 -> passes; instead check the exit path with a scaled net where
-    # the triangle bound is violated by construction is awkward, so patch eps
-    # high enough that fragility's closed form check fails
-    code, out, _ = _run_in(
-        tmp_path, ["verify", "fragility", "--eps", "0.999999", "--f-eps",
-                   "1e-12"], capsys, monkeypatch)
-    payload = json.loads(out)
-    assert code == (0 if payload["pass"] else 2)
+    # the probe the CLI calls reports a failed check
+    monkeypatch.setattr("conicot.cli.gw_fragility_demo",
+                        lambda eps, f_eps: {"pass": False, "eps": eps, "f_eps": f_eps})
+    code, out, _ = _run_in(tmp_path, ["verify", "fragility", "--eps", "0.1"],
+                           capsys, monkeypatch)
+    assert code == 2
+    assert json.loads(out) == {"pass": False, "eps": 0.1, "f_eps": 1.0}
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["config"] == {"eps": 0.1, "f_eps": 1.0, "output": None}
+    assert "restarts" not in manifest
 
 
 def test_delta_sweep_command(tmp_path, net_files, capsys, monkeypatch):
@@ -324,6 +322,40 @@ def test_bench_command(tmp_path, capsys, monkeypatch):
     assert size == "30" and int(iters) > 1 and float(distance) > 0
     # five sweeps do not reach the tolerance, and the row says so
     assert iters == "5" and stop == "max_iters"
+
+
+def test_bench_output_holds_the_printed_csv(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "bench.csv"
+    code, out, _ = _run_in(tmp_path, ["bench", "--sizes", "30", "--max-iters", "5",
+                                      "--output", str(out_file)], capsys, monkeypatch)
+    assert code == 0
+    assert out.startswith("size,iters,stop,seconds,distance\n30,5,max_iters,")
+    assert out_file.read_text() == out
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["command"] == "bench"
+
+
+@pytest.fixture
+def hyper_files(tmp_path):
+    hx, hy, _ = gen_aligned_hypernetworks(12, 3, 4, seed=0)
+    paths = [str(tmp_path / "hx.json"), str(tmp_path / "hy.json")]
+    for p, h in zip(paths, (hx, hy)):
+        with open(p, "w") as f:
+            json.dump(h.to_json_dict(), f)
+    return paths
+
+
+def test_ccot_and_cot_read_hypernetworks(tmp_path, hyper_files, capsys, monkeypatch):
+    code, out, _ = _run_in(tmp_path, ["ccot", *hyper_files, "--max-iters", "50"],
+                           capsys, monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distance"] > 0 and payload["iterations"] > 1
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["restarts"] == payload["restarts"]
+    assert len(manifest["input_hashes"]) == 2
+    code, out, _ = _run_in(tmp_path, ["cot", *hyper_files], capsys, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["distance"] > 0
 
 
 @pytest.mark.parametrize("argv", [

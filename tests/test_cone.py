@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicot import (
+    ConeKernel,
+    KernelFamily,
+    SolverConfig,
     cone_distance_sq,
     kernel_constants,
     kernel_pd_check,
@@ -51,6 +54,22 @@ def test_make_kernel_rejects_bad_delta():
         make_kernel("cos", 0.0)
     with pytest.raises(ValueError):
         make_kernel("nope", 1.0)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_cone_kernel_takes_the_family_by_its_cli_name(name):
+    # a family given by name is its enum member, not a fall-through to the Gaussian
+    kernel = ConeKernel(name, 0.5)
+    assert kernel.family is KernelFamily(name)
+    assert kernel == ConeKernel(KernelFamily(name), 0.5) == make_kernel(name, 0.5)
+    assert omega_eval(kernel, 1.0) == (np.cos(1.0) if name == "cos" else np.exp(-1.0))
+    assert SolverConfig(kernel=kernel).echo()["kernel"] == name
+
+
+@pytest.mark.parametrize("family", ["gauss", "Gaussian", 1, None])
+def test_cone_kernel_rejects_an_unknown_family(family):
+    with pytest.raises(ValueError):
+        ConeKernel(family, 0.5)
 
 
 @pytest.mark.parametrize("name", KERNELS)

@@ -68,7 +68,8 @@ def test_image_to_network_argument_checks():
 
 
 @pytest.mark.parametrize("n_sample, knn, name", [(10, 0, "knn"), (10, -1, "knn"),
-                                                  (0, 2, "n_sample"), (-3, 2, "n_sample")])
+                                                  (0, 2, "n_sample"), (-3, 2, "n_sample"),
+                                                  (10, 2.5, "knn"), (2.5, 2, "n_sample")])
 def test_image_to_network_rejects_counts_below_one(n_sample, knn, name):
     # knn = 0 would give an all-zero kernel, knn = -1 or n_sample = 0 a numpy error
     with pytest.raises(NegativeArgument, match=f"^{name} = "):
@@ -166,7 +167,7 @@ def test_knn_classify_degenerate():
 
 
 @pytest.mark.parametrize("field, value", [("n_cells", 0), ("feat_x", 0), ("feat_y", 0),
-                                          ("n_cells", -1)])
+                                          ("n_cells", -1), ("feat_x", 2.5)])
 def test_gen_aligned_rejects_an_empty_side(field, value):
     sizes = {"n_cells": 20, "feat_x": 3, "feat_y": 4, field: value}
     with pytest.raises(NegativeArgument):
@@ -174,7 +175,7 @@ def test_gen_aligned_rejects_an_empty_side(field, value):
 
 
 @pytest.mark.parametrize("field, value", [("g", 0), ("side", 0), ("side", -1),
-                                          ("count", -1)])
+                                          ("count", -1), ("count", 2.5), ("side", 2.5)])
 def test_gen_squares_rejects_degenerate_arguments(field, value):
     # g or side below 1 would write all-dark images, count below 0 nothing
     args = {"count": 1, "g": 4, "side": 3, field: value}
@@ -189,7 +190,8 @@ def test_gen_squares_rejects_an_image_smaller_than_a_square():
     assert gen_squares(1, g=1, side=3, image_size=3)[0].shape == (3, 3)
 
 
-@pytest.mark.parametrize("k, trials", [(0, 1), (-1, 1), (3, 0), (3, -2)])
+@pytest.mark.parametrize("k, trials", [(0, 1), (-1, 1), (3, 0), (3, -2), (2.5, 1),
+                                        (3, 1.5)])
 def test_knn_classify_rejects_k_or_trials_below_one(rng, k, trials):
     # k = -1 would vote with all but one training point, trials = 0 average nothing
     feats = rng.normal(size=(20, 2))

@@ -115,6 +115,8 @@ def test_uot_rejects_negative_max_iters():
         uot_solve(mu, mu, make_kernel("exp", 0.5), max_iters=-5)
     with pytest.raises(NegativeArgument):
         cgw_lower_bound(net, net, make_kernel("exp", 0.5), max_iters=-1)
+    with pytest.raises(NegativeArgument, match="^max_iters = 2.5 is not an integer"):
+        cgw_lower_bound(net, net, make_kernel("exp", 0.5), max_iters=2.5)
 
 
 @pytest.mark.parametrize("name", ["cos", "exp"])
