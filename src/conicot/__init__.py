@@ -35,7 +35,7 @@ from .solver import (
     objective_F,
     ccot_distance_from_objective,
 )
-from .baselines import BaselineConfig, Coupling, ot_exact, gw2_solve, cot_solve
+from .baselines import BaselineConfig, ot_exact, gw2_solve, cot_solve
 from .uot import UotReport, pushforward_value_distribution, uot_solve, cgw_lower_bound
 from .analysis import (
     verify_scaling,

@@ -175,7 +175,7 @@ def delta_sweep(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     kernels = [ConeKernel(config.kernel.family, d) for d in deltas]
     solves = bca_solve_kernels(embed_network_as_hypernetwork(nx),
                                embed_network_as_hypernetwork(ny),
-                               _with(config, extra_inits=[_coupling_quad(pi.matrix)]),
+                               _with(config, extra_inits=[_coupling_quad(pi)]),
                                kernels)
     rows = []
     for d, (dist, _, rep) in zip(deltas, solves):
@@ -219,7 +219,7 @@ def verify_bound_sandwich(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork
     upper = float(kappa * gw_quad)
 
     dist, report = cgw_solve(nx, ny, _with(config,
-                                           extra_inits=[_coupling_quad(pi.matrix)]))
+                                           extra_inits=[_coupling_quad(pi)]))
     ccot = cgw = dist
     lower = cgw_lower_bound(nx, ny, config.kernel).value
 
@@ -302,6 +302,8 @@ def gw_fragility_demo(eps: float, f_eps: float) -> dict:
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
+    if not 0 <= f_eps < np.inf:  # NaN fails too
+        raise ValueError(f"f_eps = {f_eps} must be finite and >= 0")
     d = float(np.sqrt(2.0 / ((1 - eps) * eps)) * f_eps)
     wx = np.array([[0.0, d], [d, 0.0]])
     clean = validate_network(np.array([1.0, 0.0]), wx)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import types
 
 import numpy as np
 
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
 from .errors import CapExceeded, MassMismatch, NegativeArgument, check_count
+from .solver import _ascend
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
 # most variables in one stacked ot_exact linear program. Separate small LPs
@@ -21,19 +23,6 @@ OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
 # of a few small problems is faster than as many calls; past about 2^13
 # variables in all, HiGHS takes longer on the one LP than on the separate ones
 OT_STACK_VARS = 1 << 12
-
-
-@dataclasses.dataclass
-class Coupling:
-    matrix: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-
-    def feasible(self, tol: float = 1e-9) -> bool:
-        return bool(
-            np.abs(self.matrix.sum(axis=-1) - self.row_marginal).max() < tol
-            and np.abs(self.matrix.sum(axis=-2) - self.col_marginal).max() < tol
-        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -62,9 +51,9 @@ def ot_exact(a, b, cost):
     The coupling is a basic solution, a vertex of the transport polytope
     with at most n + m - 1 positive entries, as a Frank-Wolfe step needs.
     milp passes the problem to HiGHS with less per-call work than linprog,
-    which matters for the many tiny LPs of gw2_solve. Returns (Coupling,
+    which matters for the many tiny LPs of gw2_solve. Returns (coupling,
     optimal value). A cost with a leading stack axis is a stack of problems
-    with the same marginals: the coupling matrix and the values then carry
+    with the same marginals: the coupling and the values then carry
     that axis, and the problems are solved as block-diagonal LPs of at most
     OT_STACK_VARS variables (or one problem) each. Marginals must have
     equal total mass, and neither side may exceed OT_EXACT_CAP points.
@@ -93,7 +82,7 @@ def ot_exact(a, b, cost):
         x.append(res.x)
     pi = np.maximum(np.concatenate(x).reshape(cost.shape), 0.0)
     value = (pi * cost).sum(axis=(-2, -1))
-    return Coupling(pi, a, b), float(value) if cost.ndim == 2 else value
+    return pi, float(value) if cost.ndim == 2 else value
 
 
 def _round_to_polytope(pi, a, b):
@@ -135,6 +124,7 @@ class BaselineConfig:
     def __post_init__(self):
         check_count("restarts", self.restarts, 1)
         check_count("max_iters", self.max_iters, 0)
+        check_count("seed", self.seed, 0)
         if not self.tol >= 0:  # NaN fails too
             raise NegativeArgument(f"tol = {self.tol} is below 0")
 
@@ -145,8 +135,8 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
 
     The GW objective is quadratic in the coupling, so a step's slope is the
     gradient against the step and its new objective follows in closed form.
-    Returns (value, Coupling); value includes the 1/2 prefactor of the
-    distance definition.
+    Returns (value, coupling) of the first restart with the smallest
+    objective; value includes the 1/2 prefactor of the distance definition.
     """
     config = config or BaselineConfig()
     a, b = nx.weights, ny.weights
@@ -158,19 +148,14 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
         pis.append(_round_to_polytope(pis[0] * noise, a, b))
 
-    # the restarts step in lockstep, so each step solves one stacked LP for
-    # the live ones; a restart leaves the stack when it meets tol
-    objs = [_gw_objective(wx, wy, pi) for pi in pis]
-    live = list(range(len(pis)))
-    for _ in range(config.max_iters):
-        if not live:
-            break
-        grads = [_gw_linear_term(wx, wy, pis[r]) + _gw_linear_term(wx.T, wy.T, pis[r])
-                 for r in live]
-        vertices = ot_exact(a, b, np.stack(grads))[0].matrix
-        still = []
-        for r, grad, vertex in zip(live, grads, vertices):
-            pi, obj = pis[r], objs[r]
+    s = types.SimpleNamespace(pi=np.stack(pis),
+                              obj=np.array([_gw_objective(wx, wy, pi) for pi in pis]))
+
+    def sweep(s):
+        grads = [_gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi) for pi in s.pi]
+        vertices = ot_exact(a, b, np.stack(grads))[0]
+        pis, objs = [], []
+        for pi, obj, grad, vertex in zip(s.pi, s.obj.tolist(), grads, vertices):
             delta = vertex - pi
             # the objective along pi + t delta is obj + t lin + t^2 quad exactly
             lin = float((grad * delta).sum())
@@ -179,21 +164,22 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
                 t = np.clip(-lin / (2.0 * quad), 0.0, 1.0)
             else:
                 t = 1.0 if lin + quad < 0 else 0.0
-            pis[r] = pi + t * delta
-            new_obj = obj + t * lin + t * t * quad
-            objs[r] = min(obj, new_obj)
-            if obj - new_obj > config.tol * max(1.0, abs(obj)):
-                still.append(r)
-        live = still
-    best = int(np.argmin(objs))  # the first restart with the smallest objective
-    return 0.5 * float(np.sqrt(max(objs[best], 0.0))), Coupling(pis[best], a, b)
+            pis.append(pi + t * delta)
+            # a step that rounds upward counts as no decrease, so it stops
+            objs.append(min(obj, obj + t * lin + t * t * quad))
+        s.pi, s.obj = np.stack(pis), np.array(objs)
+        return s.obj
+
+    runs = _ascend(s, s.obj, sweep, config.max_iters, config.tol)
+    best, trace, _ = min(runs, key=lambda run: run[1][-1])  # the first best
+    return 0.5 * float(np.sqrt(max(trace[-1], 0.0))), best.pi
 
 
 def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
               config: BaselineConfig | None = None):
     """Co-optimal transport by alternating exact OT on the two couplings.
 
-    Returns (value, sample Coupling, feature Coupling); value includes the
+    Returns (value, sample coupling, feature coupling); value includes the
     1/2 prefactor.
     """
     config = config or BaselineConfig()
@@ -207,13 +193,12 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     cost_s = _gw_linear_term(wx, wy, pi_f)  # the sample-side cost at pi_f
     obj = float((cost_s * pi_s).sum())
     for _ in range(config.max_iters):
-        pi_s = ot_exact(a, b, cost_s)[0].matrix
-        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0].matrix
+        pi_s = ot_exact(a, b, cost_s)[0]
+        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0]
         cost_s = _gw_linear_term(wx, wy, pi_f)
         new_obj = float((cost_s * pi_s).sum())
         if obj - new_obj <= config.tol * max(1.0, abs(obj)):
             obj = min(obj, new_obj)
             break
         obj = new_obj
-    return (0.5 * float(np.sqrt(max(obj, 0.0))),
-            Coupling(pi_s, a, b), Coupling(pi_f, ap, bp))
+    return 0.5 * float(np.sqrt(max(obj, 0.0))), pi_s, pi_f

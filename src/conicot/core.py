@@ -169,9 +169,9 @@ def validate_hypernetwork(sample_weights, feature_weights, kernel) -> DiscreteMe
 
 
 def scale_measure(net: DiscreteMeasureNetwork, r: float) -> DiscreteMeasureNetwork:
-    """Scale the measure of a network by r >= 0, leaving the kernel unchanged."""
-    if r < 0:
-        raise NegativeScale(f"scale factor {r} is negative")
+    """Scale the measure of a network by a finite r >= 0, leaving the kernel unchanged."""
+    if not 0 <= r < np.inf:  # NaN fails too
+        raise NegativeScale(f"scale factor {r} is not in [0, inf)")
     return DiscreteMeasureNetwork(net.weights * r, net.kernel, points=net.points, label=net.label)
 
 

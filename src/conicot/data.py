@@ -33,7 +33,7 @@ def gen_squares(count: int, g: int = 4, side: int = 3, image_size: int = 32,
     brightnesses of the squares covering it (zero overlap by construction).
     """
     for name, value, low in (("count", count, 0), ("g", g, 1), ("side", side, 1),
-                             ("image_size", image_size, side)):
+                             ("image_size", image_size, side), ("seed", seed, 0)):
         check_count(name, value, low)
     rng = np.random.default_rng(seed)
     images = []
@@ -71,6 +71,7 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     """
     check_count("n_sample", n_sample, 1)
     check_count("knn", knn, 1)
+    check_count("seed", seed, 0)
     image = np.asarray(image, dtype=np.float64)
     coords = np.argwhere(np.ones_like(image, dtype=bool)).astype(np.float64)
     total = coords.shape[0]
@@ -117,6 +118,7 @@ def gen_aligned_hypernetworks(n_cells: int, feat_x: int, feat_y: int,
     """
     for name, value in (("n_cells", n_cells), ("feat_x", feat_x), ("feat_y", feat_y)):
         check_count(name, value, 1)
+    check_count("seed", seed, 0)
     if not 0 < downsample_y <= 1:
         raise ValueError("downsample_y must lie in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -189,6 +191,7 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
     """
     check_count("k", k, 1)
     check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[0] != labels.size:

@@ -54,6 +54,7 @@ class SolverConfig:
     def __post_init__(self):
         check_count("restarts", self.restarts, 1)
         check_count("max_iters", self.max_iters, 0)
+        check_count("seed", self.seed, 0)
         if not self.rel_tol >= 0:  # NaN fails too
             raise NegativeArgument(f"rel_tol = {self.rel_tol} is below 0")
 

@@ -95,6 +95,10 @@ def test_gw_fragility_demo():
     assert abs(out["perturbed_gw2"] - 1.0) <= 1e-6
     with pytest.raises(ValueError):
         gw_fragility_demo(eps=0.0, f_eps=1.0)
+    # f_eps is a target GW value: a negative one is a bad input, not a failed check
+    for f_eps in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^f_eps = "):
+            gw_fragility_demo(eps=0.1, f_eps=f_eps)
 
 
 def test_weak_iso_probe(rng):
@@ -149,7 +153,7 @@ def test_delta_sweep_rows_match_cgw_solve_at_each_delta(family, restarts, max_it
     deltas = [0.25, 1.0, 4.0, 16.0]
     out = delta_sweep(nx, ny, deltas, cfg)
     _, pi = conicot.analysis._unit_mass_gw2(nx, ny, cfg, "delta_sweep")
-    seed = conicot.analysis._coupling_quad(pi.matrix)
+    seed = conicot.analysis._coupling_quad(pi)
     for d, row in zip(deltas, out["rows"]):
         _, rep = cgw_solve(nx, ny, dataclasses.replace(
             cfg, kernel=make_kernel(family, d), extra_inits=[seed]))

@@ -19,6 +19,13 @@ from conicot.errors import CapExceeded, MassMismatch, NegativeArgument
 from tests.conftest import random_hypernetwork, random_network
 
 
+def _feasible(pi, a, b, tol=1e-9):
+    """Every row of pi sums to a and every column to b, to tol; a stack of
+    couplings on the leading axis is checked slice by slice."""
+    return bool(np.abs(pi.sum(axis=-1) - a).max() < tol
+                and np.abs(pi.sum(axis=-2) - b).max() < tol)
+
+
 def _ot_bruteforce_uniform(cost):
     """Exact OT for uniform marginals via permanent-style enumeration."""
     n = cost.shape[0]
@@ -36,7 +43,7 @@ def test_ot_exact_matches_assignment_oracle(rng):
         cost = r.uniform(size=(n, n))
         a = np.full(n, 1.0 / n)
         coupling, value = ot_exact(a, a, cost)
-        assert coupling.feasible()
+        assert _feasible(coupling, a, a)
         assert value == pytest.approx(_ot_bruteforce_uniform(cost), abs=1e-10)
 
 
@@ -70,8 +77,8 @@ def test_ot_exact_returns_a_feasible_optimal_vertex(shape):
         b *= a.sum() / b.sum()
         cost = r.uniform(size=shape)
         coupling, value = ot_exact(a, b, cost)
-        assert coupling.feasible()
-        assert np.count_nonzero(coupling.matrix > 0) <= n + m - 1
+        assert _feasible(coupling, a, b)
+        assert np.count_nonzero(coupling > 0) <= n + m - 1
         # every row and column sum, built apart from _transport_constraints
         A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
         reference = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
@@ -103,18 +110,18 @@ def test_ot_exact_stack_equals_slice_calls(shape, height, monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", counting)
     coupling, values = ot_exact(a, b, costs)
     assert lps[0] == -(-height // (OT_STACK_VARS // (n * m)))
-    assert coupling.matrix.shape == costs.shape and values.shape == (height,)
-    assert coupling.feasible()
-    for cost, pi, value in zip(costs, coupling.matrix, values):
+    assert coupling.shape == costs.shape and values.shape == (height,)
+    assert _feasible(coupling, a, b)
+    for cost, pi, value in zip(costs, coupling, values):
         one, one_value = ot_exact(a, b, cost)
         assert isinstance(one_value, float)
-        assert np.abs(pi - one.matrix).max() <= 1e-12
+        assert np.abs(pi - one).max() <= 1e-12
         assert abs(value - one_value) <= 1e-12
 
 
 def _gw2_per_restart(nx, ny, config):
-    """gw2_solve's restarts one after another, one 2-D ot_exact per step: the
-    loop that the lockstep solve replaced, with the same starts and step rule.
+    """gw2_solve's restarts one after another, one 2-D ot_exact per step:
+    the same starts and step rule as the stacked solve, without the stack.
 
     Returns (value, every restart's final coupling, the best restart, the
     steps of each restart).
@@ -131,7 +138,7 @@ def _gw2_per_restart(nx, ny, config):
         obj = _gw_objective(wx, wy, pi)
         for step in range(1, config.max_iters + 1):
             grad = _gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi)
-            delta = ot_exact(a, b, grad)[0].matrix - pi
+            delta = ot_exact(a, b, grad)[0] - pi
             lin = float((grad * delta).sum())
             quad = _gw_objective(wx, wy, delta)
             if quad > 0:
@@ -158,17 +165,19 @@ def _gw2_per_restart(nx, ny, config):
                                        (16, 20, OT_STACK_VARS), (5, 6, 64), (9, 8, 64)])
 def test_gw2_lockstep_equals_per_restart_loop(n, m, cap, restarts, monkeypatch):
     # at the default cap every stack here is one LP; at cap 64 a 5 x 6
-    # problem stacks two restarts per LP and a 9 x 8 one none
+    # problem stacks two restarts per LP and a 9 x 8 one none. At max_iters
+    # 0 and 1 every restart stops at the iteration cap, with no step or
+    # after one
     monkeypatch.setattr(conicot.baselines, "OT_STACK_VARS", cap)
-    for seed in range(3):
+    for seed, max_iters in itertools.product(range(3), (60, 0, 1)):
         r = np.random.default_rng([n, m, seed])
         nx = random_network(r, n, unit_mass=True)
         ny = random_network(r, m, unit_mass=True)
-        config = BaselineConfig(restarts=restarts, seed=seed, max_iters=60, tol=1e-8)
+        config = BaselineConfig(restarts=restarts, seed=seed, max_iters=max_iters, tol=1e-8)
         value, coupling = gw2_solve(nx, ny, config)
         ref_value, finals, best, _ = _gw2_per_restart(nx, ny, config)
         assert abs(value - ref_value) <= 1e-12
-        assert np.abs(coupling.matrix - finals[best]).max() <= 1e-12
+        assert np.abs(coupling - finals[best]).max() <= 1e-12
 
 
 def test_gw_linear_term_matches_loop(rng):
@@ -192,7 +201,7 @@ def test_gw2_zero_on_permutation(rng):
                              net.kernel[np.ix_(perm, perm)])
     value, coupling = gw2_solve(net, net_p, BaselineConfig(seed=1))
     assert value <= 1e-8
-    assert coupling.feasible()
+    assert _feasible(coupling, net.weights, net_p.weights)
 
 
 def test_gw2_two_point_closed_form():
@@ -224,9 +233,10 @@ def test_cot_matches_gw2_on_embedded_networks(rng):
     nx = random_network(rng, 4, unit_mass=True)
     ny = random_network(rng, 4, unit_mass=True)
     g, pi = gw2_solve(nx, ny, BaselineConfig(restarts=6))
-    value, cs, cf = cot_solve(embed_network_as_hypernetwork(nx),
-                              embed_network_as_hypernetwork(ny))
-    assert cs.feasible() and cf.feasible()
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    value, cs, cf = cot_solve(hx, hy)
+    assert _feasible(cs, hx.sample_weights, hy.sample_weights)
+    assert _feasible(cf, hx.feature_weights, hy.feature_weights)
     assert value <= g + 1e-8 + 0.02 * g
 
 
@@ -264,7 +274,7 @@ def test_gw2_three_linear_terms_per_step(rng, monkeypatch):
     gw2_solve(nx, ny, BaselineConfig(restarts=1))
     assert calls["ot_exact"] > 1
     assert calls["_gw_linear_term"] == 1 + 3 * calls["ot_exact"]
-    # the restarts step in lockstep: one stacked ot_exact per step, as many
+    # the restarts step as one stack: one stacked ot_exact per step, as many
     # as the longest restart takes, and three terms per restart step
     config = BaselineConfig(restarts=4)
     monkeypatch.undo()
@@ -293,14 +303,14 @@ def test_gw2_value_is_the_objective_of_its_coupling(seed):
     nx = random_network(r, 5, unit_mass=True)
     ny = random_network(r, 7, unit_mass=True)
     value, coupling = gw2_solve(nx, ny, BaselineConfig(seed=seed))
-    exact = 0.5 * np.sqrt(_gw_objective(nx.kernel, ny.kernel, coupling.matrix))
+    exact = 0.5 * np.sqrt(_gw_objective(nx.kernel, ny.kernel, coupling))
     assert value == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -3),
                                           ("max_iters", -5), ("tol", -1e-9),
                                           ("tol", float("nan")), ("restarts", 2.5),
-                                          ("max_iters", 2.5)])
+                                          ("max_iters", 2.5), ("seed", -1), ("seed", 2.5)])
 def test_baseline_config_rejects_out_of_range(field, value):
     with pytest.raises(NegativeArgument):
         BaselineConfig(**{field: value})

@@ -231,6 +231,35 @@ def test_baseline_commands_reject_negative_max_iters(tmp_path, net_files, cmd, c
     assert err.startswith("error: negative_argument")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["cgw", "NETS", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["gw2", "NETS", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["delta-sweep", "NETS", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["verify", "robustness", "NET", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["gen-squares", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["gen-aligned", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
+    (["img2net", "IMG", "--n-sample", "4", "--knn", "2", "--seed", "-1"],
+     "negative_argument: seed = -1 is below 0"),
+    (["verify", "scaling", "NET", "--r", "inf"], "negative_scale: scale factor inf "),
+    (["verify", "scaling", "NET", "--s", "nan"], "negative_scale: scale factor nan "),
+    (["verify", "fragility", "--f-eps", "-1"], "validation: f_eps = -1.0 "),
+], ids=["cgw-seed", "gw2-seed", "delta-sweep-seed", "robustness-seed", "gen-squares-seed",
+        "gen-aligned-seed", "img2net-seed", "scaling-r", "scaling-s", "fragility-f-eps"])
+def test_argument_out_of_range_is_named(tmp_path, net_files, argv, error, capsys,
+                                        monkeypatch):
+    # each is a bad input, so exit 1 with an error line that names it, never
+    # numpy's own message or exit 2's failed check
+    np.savetxt(tmp_path / "img.csv", np.ones((4, 4)), delimiter=",")
+    inputs = {"NETS": net_files, "NET": net_files[:1], "IMG": [str(tmp_path / "img.csv")]}
+    argv = [x for arg in argv for x in inputs.get(arg, [arg])]
+    code, out, err = _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + error)
+    assert sorted(os.listdir(tmp_path)) == ["img.csv", *sorted(os.path.basename(p)
+                                                                for p in net_files)]
+
+
 def test_gen_squares_img2net_roundtrip(tmp_path, capsys, monkeypatch):
     code, out, _ = _run_in(
         tmp_path, ["gen-squares", "--count", "2", "--dir", str(tmp_path)],

@@ -116,8 +116,9 @@ def test_scale_measure():
     scaled = scale_measure(net, 0.5)
     assert np.allclose(scaled.weights, [0.5, 1.0])
     assert np.array_equal(scaled.kernel, net.kernel)
-    with pytest.raises(NegativeScale):
-        scale_measure(net, -1.0)
+    for r in (-1.0, np.inf, np.nan):
+        with pytest.raises(NegativeScale, match=f"^scale factor {r} "):
+            scale_measure(net, r)
     zero = scale_measure(net, 0.0)
     assert zero.mass == 0.0
 

@@ -167,7 +167,7 @@ def test_knn_classify_degenerate():
 
 
 @pytest.mark.parametrize("field, value", [("n_cells", 0), ("feat_x", 0), ("feat_y", 0),
-                                          ("n_cells", -1), ("feat_x", 2.5)])
+                                          ("n_cells", -1), ("feat_x", 2.5), ("seed", -1)])
 def test_gen_aligned_rejects_an_empty_side(field, value):
     sizes = {"n_cells": 20, "feat_x": 3, "feat_y": 4, field: value}
     with pytest.raises(NegativeArgument):
@@ -175,7 +175,8 @@ def test_gen_aligned_rejects_an_empty_side(field, value):
 
 
 @pytest.mark.parametrize("field, value", [("g", 0), ("side", 0), ("side", -1),
-                                          ("count", -1), ("count", 2.5), ("side", 2.5)])
+                                          ("count", -1), ("count", 2.5), ("side", 2.5),
+                                          ("seed", -1), ("seed", 2.5)])
 def test_gen_squares_rejects_degenerate_arguments(field, value):
     # g or side below 1 would write all-dark images, count below 0 nothing
     args = {"count": 1, "g": 4, "side": 3, field: value}
@@ -198,6 +199,16 @@ def test_knn_classify_rejects_k_or_trials_below_one(rng, k, trials):
     labels = np.array([0, 1] * 10)
     with pytest.raises(NegativeArgument):
         knn_classify(feats, labels, k=k, label_rate=0.5, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_seeded_functions_reject_a_seed_that_is_not_a_count(rng, seed):
+    # numpy would reject the seed only at its first draw, without naming it
+    with pytest.raises(NegativeArgument, match="^seed = "):
+        image_to_network(np.ones((4, 4)), n_sample=4, knn=2, seed=seed)
+    with pytest.raises(NegativeArgument, match="^seed = "):
+        knn_classify(rng.normal(size=(20, 2)), np.array([0, 1] * 10), k=1, label_rate=0.5,
+                     trials=1, seed=seed)
 
 
 def test_perturb_measure(rng):

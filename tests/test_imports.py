@@ -53,7 +53,7 @@ import numpy as np
 from conicot import ot_exact
 a = np.full(5, 0.2)
 coupling, value = ot_exact(a, a, 1.0 - np.eye(5))
-assert value == 0.0 and np.array_equal(coupling.matrix, np.diag(a))
+assert value == 0.0 and np.array_equal(coupling, np.diag(a))
 """,
 }
 

@@ -443,7 +443,8 @@ def test_restarts_span_several_stacks(monkeypatch):
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -2),
                                           ("max_iters", -5), ("rel_tol", -1e-9),
                                           ("rel_tol", float("nan")), ("restarts", 2.5),
-                                          ("max_iters", 2.5), ("max_iters", np.float64(3))])
+                                          ("max_iters", 2.5), ("max_iters", np.float64(3)),
+                                          ("seed", -1), ("seed", 2.5)])
 def test_solver_config_rejects_negative_arguments(field, value):
     with pytest.raises(NegativeArgument):
         SolverConfig(kernel=make_kernel("exp", 0.5), **{field: value})
