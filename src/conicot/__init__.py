@@ -36,7 +36,7 @@ from .solver import (
     ccot_distance_from_objective,
 )
 from .baselines import BaselineConfig, ot_exact, gw2_solve, cot_solve
-from .uot import UotReport, pushforward_value_distribution, uot_solve, cgw_lower_bound
+from .uot import pushforward_value_distribution, uot_solve, cgw_lower_bound
 from .analysis import (
     verify_scaling,
     delta_sweep,

@@ -31,7 +31,7 @@ from .cone import ConeKernel, _ccot_d2, kernel_constants
 from .core import (DiscreteMeasureNetwork, embed_network_as_hypernetwork, scale_measure,
                    tv_gap, validate_network)
 from .data import perturb_measure
-from .errors import check_count
+from .errors import NegativeScale, check_count
 from .solver import (
     SemiCouplingQuadruple,
     SolverConfig,
@@ -73,12 +73,12 @@ def _envelope(delta: float, mass: float, eps: float) -> float:
 
 
 def _unit_mass_gw2(nx, ny, config: SolverConfig, probe: str):
-    """gw2_solve between two unit-mass networks: the reference of the GW comparisons."""
+    """gw2_solve's (value, coupling) between unit-mass networks: the GW reference."""
     if abs(nx.mass - 1.0) > 1e-9 or abs(ny.mass - 1.0) > 1e-9:
         raise ValueError(f"{probe} expects unit-mass networks")
     bcfg = BaselineConfig(seed=config.seed, restarts=max(config.restarts, 4),
                           max_iters=60, tol=1e-8)
-    return gw2_solve(nx, ny, bcfg)
+    return gw2_solve(nx, ny, bcfg)[:2]
 
 
 def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
@@ -92,6 +92,9 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
     (c) combined bound: d(N^r, N^s) against the triangle bound through N,
         2 delta (|1 - r| + |1 - s|) mass, with slack.
     """
+    for name, t in (("r", r), ("s", s)):
+        if not 0 <= t < np.inf:  # NaN fails too
+            raise NegativeScale(f"scale factor {name} = {t} is not in [0, inf)")
     delta = config.kernel.delta
     mass = net.mass
     net_s = scale_measure(net, s)
@@ -129,9 +132,8 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
     }
 
     # (c) d(N^r, N^s) <= d(N^r, N) + d(N, N^s), each bounded as in (a)
-    d_rs, _ = cgw_solve(scale_measure(net, r), scale_measure(net, s),
-                        _with(config, extra_inits=[_diag_quad(r * net.weights,
-                                                              s * net.weights)]))
+    d_rs, _ = cgw_solve(net_r, net_s, _with(config, extra_inits=[
+        _diag_quad(r * net.weights, s * net.weights)]))
     bound_c = 2.0 * delta * (abs(1 - r) + abs(1 - s)) * mass
     check_c = {
         "name": "combined_bound",
@@ -179,10 +181,9 @@ def delta_sweep(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
                                kernels)
     rows = []
     for d, (dist, _, rep) in zip(deltas, solves):
-        best = rep.restarts[rep.best_restart]
         rows.append({"delta": d, "cgw": dist, "reference": reference,
                      "rel_gap": abs(dist - reference) / max(gw_l2, 1e-12),
-                     "sweeps": best["sweeps"], "stop": best["stop"]})
+                     "sweeps": rep.iterations, "stop": rep.restarts[rep.best_restart]["stop"]})
     gaps = [row["rel_gap"] for row in rows]
     final_is_min = bool(gaps[-1] <= min(gaps) + 1e-12)
     # soft monotonicity: at most one inversion of more than 10% relative
@@ -309,8 +310,8 @@ def gw_fragility_demo(eps: float, f_eps: float) -> dict:
     clean = validate_network(np.array([1.0, 0.0]), wx)
     perturbed = validate_network(np.array([1.0 - eps, eps]), wx)
     point = validate_network(np.array([1.0]), np.array([[0.0]]))
-    clean_value, _ = gw2_solve(clean, point)
-    pert_value, _ = gw2_solve(perturbed, point)
+    clean_value = gw2_solve(clean, point)[0]
+    pert_value = gw2_solve(perturbed, point)[0]
     closed_form = float(np.sqrt((1 - eps) * eps / 2.0) * d)
     cgw_contrast = _envelope(0.5, 2.0, eps)  # delta = 1/2, m_X + m_Y = 2
     return {

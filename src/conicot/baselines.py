@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import time
 import types
 
 import numpy as np
 
 from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
 from .errors import CapExceeded, MassMismatch, NegativeArgument, check_count
-from .solver import _ascend
+from .solver import _ascend, _report
 
 OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
 # most variables in one stacked ot_exact linear program. Separate small LPs
@@ -135,9 +136,11 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
 
     The GW objective is quadratic in the coupling, so a step's slope is the
     gradient against the step and its new objective follows in closed form.
-    Returns (value, coupling) of the first restart with the smallest
-    objective; value includes the 1/2 prefactor of the distance definition.
+    Returns (value, coupling, SolverReport) of the first restart with the
+    smallest objective, the quadratic distortion; value, half its root,
+    includes the 1/2 prefactor of the distance definition.
     """
+    t0 = time.perf_counter()
     config = config or BaselineConfig()
     a, b = nx.weights, ny.weights
     _check_equal_mass(a, b)
@@ -171,17 +174,20 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
         return s.obj
 
     runs = _ascend(s, s.obj, sweep, config.max_iters, config.tol)
-    best, trace, _ = min(runs, key=lambda run: run[1][-1])  # the first best
-    return 0.5 * float(np.sqrt(max(trace[-1], 0.0))), best.pi
+    best = min(range(len(runs)), key=lambda i: runs[i][1][-1])  # the first best
+    value = 0.5 * float(np.sqrt(max(runs[best][1][-1], 0.0)))
+    return value, runs[best][0].pi, _report(runs, best, value, dataclasses.asdict(config), t0)
 
 
 def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
               config: BaselineConfig | None = None):
     """Co-optimal transport by alternating exact OT on the two couplings.
 
-    Returns (value, sample coupling, feature coupling); value includes the
-    1/2 prefactor.
+    Returns (value, sample coupling, feature coupling, SolverReport); value
+    includes the 1/2 prefactor. The report has one restart, and its config
+    echoes the fields the solve reads, max_iters and tol.
     """
+    t0 = time.perf_counter()
     config = config or BaselineConfig()
     a, b = hx.sample_weights, hy.sample_weights
     ap, bp = hx.feature_weights, hy.feature_weights
@@ -191,14 +197,16 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
     cost_s = _gw_linear_term(wx, wy, pi_f)  # the sample-side cost at pi_f
-    obj = float((cost_s * pi_s).sum())
+    trace, stop = [float((cost_s * pi_s).sum())], "max_iters"
     for _ in range(config.max_iters):
         pi_s = ot_exact(a, b, cost_s)[0]
         pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0]
         cost_s = _gw_linear_term(wx, wy, pi_f)
-        new_obj = float((cost_s * pi_s).sum())
+        obj, new_obj = trace[-1], float((cost_s * pi_s).sum())
+        trace.append(min(obj, new_obj))  # new_obj but where the loop stops
         if obj - new_obj <= config.tol * max(1.0, abs(obj)):
-            obj = min(obj, new_obj)
+            stop = "rel_tol"
             break
-        obj = new_obj
-    return 0.5 * float(np.sqrt(max(obj, 0.0))), pi_s, pi_f
+    value = 0.5 * float(np.sqrt(max(trace[-1], 0.0)))
+    return value, pi_s, pi_f, _report([(None, trace, stop)], 0, value,
+                                      {"max_iters": config.max_iters, "tol": config.tol}, t0)

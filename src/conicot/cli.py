@@ -130,15 +130,6 @@ def _probe_args(args, *flags):
     return (*_load_networks(args.inputs), *flags, config)
 
 
-def _uot_bound(args):
-    nets = _load_networks(args.inputs)
-    rep = cgw_lower_bound(nets[0], nets[1], make_kernel(args.kernel, args.delta),
-                          max_iters=args.max_iters)
-    return {"distance": rep.value, "objective": rep.objective,
-            "iterations": rep.iterations, "converged": rep.converged,
-            "config": {"delta": args.delta, "kernel": args.kernel}}
-
-
 def _delta_sweep(args):
     nets = _load_networks(args.inputs)
     deltas = [float(x) for x in args.deltas.split(",")]
@@ -223,13 +214,13 @@ _COMMANDS = {
              lambda a: _solved(a, bca_solve(*_load_two_hyper(a.inputs), _config(a))[2])),
     "cgw": (2, (*_SOLVE, "trace"),
             lambda a: _solved(a, cgw_solve(*_load_networks(a.inputs), _config(a))[1])),
-    "gw2": (2, ("max-iters", "restarts", "seed"), lambda a: {
-        "distance": gw2_solve(*_load_networks(a.inputs), BaselineConfig(
-            seed=a.seed, restarts=a.restarts, max_iters=a.max_iters))[0],
-        "config": {"seed": a.seed}}),
-    "cot": (2, ("max-iters",), lambda a: {"distance": cot_solve(
-        *_load_two_hyper(a.inputs), BaselineConfig(max_iters=a.max_iters))[0]}),
-    "uot-bound": (2, ("delta", "kernel", "max-iters"), _uot_bound),
+    "gw2": (2, ("max-iters", "restarts", "seed"), lambda a: gw2_solve(
+        *_load_networks(a.inputs), BaselineConfig(
+            seed=a.seed, restarts=a.restarts, max_iters=a.max_iters))[-1].to_json_dict()),
+    "cot": (2, ("max-iters",), lambda a: cot_solve(
+        *_load_two_hyper(a.inputs), BaselineConfig(max_iters=a.max_iters))[-1].to_json_dict()),
+    "uot-bound": (2, ("delta", "kernel", "max-iters"), lambda a: cgw_lower_bound(
+        *_load_networks(a.inputs), make_kernel(a.kernel, a.delta), a.max_iters).to_json_dict()),
     "delta-sweep": (2, (("deltas", dict(default="0.5,1,2,4,8,16,32")),
                         ("csv", dict(default=None)),
                         *(o for o in _SOLVE if o != "delta")), _delta_sweep),

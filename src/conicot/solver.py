@@ -72,38 +72,51 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverReport:
+    """Every solve's result. restarts holds one {"objective", "sweeps", "stop"}
+    per start, in restart order; objective_trace is the best restart's."""
+
+    value: float
     objective_trace: list
-    distance: float
-    iterations: int
-    converged: bool
-    quantization_uncertainty: float
     wall_time: float
     config: dict
+    best_restart: int
+    restarts: list
+    quantization_uncertainty: float | None = None
     frobenius_gap: float | None = None
     equality_certified: bool | None = None
     pd_min_eigenvalue: float | None = None
-    best_restart: int = 0
-    # one {"objective", "sweeps", "stop"} per start, in restart order; stop
-    # is "rel_tol" or "max_iters"
-    restarts: list = dataclasses.field(default_factory=list)
+
+    @property
+    def objective(self) -> float:
+        return self.objective_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.restarts[self.best_restart]["stop"] == "rel_tol"
 
     def to_json_dict(self) -> dict:
-        d = {
-            "distance": self.distance,
-            "objective": self.objective_trace[-1] if self.objective_trace else 0.0,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "quantization_uncertainty": self.quantization_uncertainty,
-            "wall_time": self.wall_time,
-            "config": self.config,
-            "best_restart": self.best_restart,
-            "restarts": self.restarts,
-        }
-        if self.frobenius_gap is not None:
-            d["frobenius_gap"] = self.frobenius_gap
-        if self.equality_certified is not None:
-            d["equality_certified"] = self.equality_certified
+        d = {"distance": self.value, "objective": self.objective,
+             "iterations": self.iterations, "converged": self.converged,
+             "wall_time": self.wall_time, "config": self.config,
+             "best_restart": self.best_restart, "restarts": self.restarts}
+        for name in ("quantization_uncertainty", "frobenius_gap", "equality_certified"):
+            if getattr(self, name) is not None:
+                d[name] = getattr(self, name)
         return d
+
+
+def _report(runs, best, value, config, t0, **fields) -> SolverReport:
+    """The report of _ascend's runs, runs[best] the best, timed from t0."""
+    return SolverReport(
+        value=value, objective_trace=runs[best][1], wall_time=time.perf_counter() - t0,
+        config=config, best_restart=best,
+        restarts=[{"objective": trace[-1], "sweeps": len(trace) - 1, "stop": stop}
+                  for _, trace, stop in runs],
+        **fields)
 
 
 def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor) -> float:
@@ -133,8 +146,9 @@ def ccot_distance_from_objective(F_star: float, masses, delta: float) -> float:
 def _product_pair(a, b):
     """Product initialization for one semi-coupling pair."""
     sa, sb = a.sum(), b.sum()
-    A = np.outer(a, b) / sb if sb > 0 else np.zeros((a.size, b.size))
-    B = np.outer(a, b) / sa if sa > 0 else np.zeros((a.size, b.size))
+    ab = np.outer(a, b)
+    A = ab / sb if sb > 0 else np.zeros((a.size, b.size))
+    B = ab / sa if sa > 0 else np.zeros((a.size, b.size))
     return A, B
 
 
@@ -336,38 +350,28 @@ def _solve_group(hx, hy, configs):
     starts = [(k, start) for k, (t, c) in enumerate(zip(tensors, configs))
               for start in _inits(marginals, t, c)]
 
-    restarts = [[] for _ in configs]
+    # a restart's quadruple is kept only while it is its kernel's best
+    runs = [[] for _ in configs]
     best = [None] * len(configs)
     while starts:
         for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack,
                                                configs[0]):
-            restarts[k].append({"objective": trace[-1], "sweeps": len(trace) - 1,
-                                "stop": stop})
-            if best[k] is None or trace[-1] > best[k][2][-1]:
-                best[k] = (len(restarts[k]) - 1, quad, trace, stop)
+            runs[k].append((None, trace, stop))
+            if best[k] is None or trace[-1] > best[k][2]:
+                best[k] = (len(runs[k]) - 1, quad, trace[-1])
 
     out = []
-    for config, tensor, runs, (idx, quad, trace, stop) in zip(configs, tensors, restarts, best):
-        distance = ccot_distance_from_objective(trace[-1], masses, config.kernel.delta)
-        M = np.sqrt(quad.A * quad.B)
-        Mp = np.sqrt(quad.Ap * quad.Bp)
-        qunc = tensor.quantization_error * float(M.sum()) * float(Mp.sum())
+    for config, tensor, run, (idx, quad, F) in zip(configs, tensors, runs, best):
+        distance = ccot_distance_from_objective(F, masses, config.kernel.delta)
+        err = tensor.quantization_error  # 0.0 but for a quantized tensor
+        qunc = err and (err * float(np.sqrt(quad.A * quad.B).sum())
+                        * float(np.sqrt(quad.Ap * quad.Bp).sum()))
         gap = None
         if quad.A.shape == quad.Ap.shape:
             gap = float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
-        report = SolverReport(
-            objective_trace=trace,
-            distance=distance,
-            iterations=len(trace) - 1,
-            converged=stop == "rel_tol",
-            quantization_uncertainty=qunc,
-            wall_time=time.perf_counter() - t0,
-            config=config.echo(),
-            frobenius_gap=gap,
-            best_restart=idx,
-            restarts=runs,
-        )
-        out.append((distance, quad, report))
+        out.append((distance, quad, _report(run, idx, distance, config.echo(), t0,
+                                            quantization_uncertainty=qunc,
+                                            frobenius_gap=gap)))
     return out
 
 

@@ -8,7 +8,7 @@ to solve with the solver's closed-form step and distance formula.
 
 from __future__ import annotations
 
-import dataclasses
+import time
 import types
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .cone import ConeKernel, omega_of_gap
 from .core import DiscreteMeasureNetwork, DiscreteValueMeasure
 from .errors import check_count
-from .solver import (_ascend, _product_pair, _project_pair, _totals,
+from .solver import (SolverReport, _ascend, _product_pair, _project_pair, _report, _totals,
                      ccot_distance_from_objective, update_block)
 
 COALESCE_TOL = 1e-12  # sorted kernel values this close to the previous share its atom
@@ -40,17 +40,8 @@ def pushforward_value_distribution(net: DiscreteMeasureNetwork) -> DiscreteValue
     return DiscreteValueMeasure(vals[starts], np.bincount(atom, weights=masses))
 
 
-@dataclasses.dataclass
-class UotReport:
-    value: float
-    objective: float
-    iterations: int
-    converged: bool
-    objective_trace: list
-
-
 def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
-              kernel: ConeKernel, max_iters: int = 1000) -> UotReport:
+              kernel: ConeKernel, max_iters: int = 1000) -> SolverReport:
     """Conic semi-coupling distance between two scalar value distributions.
 
     Maximizes G(A, B) = Sigma_ij Omega_ij sqrt(A_ij B_ij) over A with row
@@ -59,7 +50,8 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     each sweep's G is the step's F, Sigma_j sqrt(n_j s_j) for s the column
     sums of A Omega^2. Returns the distance value
     sqrt(4 delta^2 (|mu| + |nu|) - 8 delta^2 G*): the network distance with
-    one feature of unit mass on each side.
+    one feature of unit mass on each side, as the report's value; its
+    restarts are the product start's and the monotone start's.
 
     The value is this distance, and so a lower bound, only at G = G*. Any G
     below G* gives a value that is too large, and report.converged does not
@@ -69,6 +61,7 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     the face of its support, below G*, while the product start is still
     climbing at max_iters.
     """
+    t0 = time.perf_counter()
     check_count("max_iters", max_iters, 0)
     m, n = mu.masses, nu.masses
     W = omega_of_gap(kernel, mu.values[:, None], nu.values[None, :])
@@ -89,9 +82,11 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
         return F
 
     runs = _ascend(s, _totals(W * np.sqrt(s.A * s.B)), sweep, max_iters, REL_TOL)
-    _, trace, stop = max(runs, key=lambda run: run[1][-1])  # the first best
-    value = ccot_distance_from_objective(trace[-1], (m.sum(), 1.0, n.sum(), 1.0), kernel.delta)
-    return UotReport(value, trace[-1], len(trace) - 1, stop == "rel_tol", trace)
+    best = max(range(len(runs)), key=lambda i: runs[i][1][-1])  # the first best
+    value = ccot_distance_from_objective(runs[best][1][-1], (m.sum(), 1.0, n.sum(), 1.0),
+                                         kernel.delta)
+    return _report(runs, best, value, {"kernel": kernel.family.value, "delta": kernel.delta,
+                                       "max_iters": max_iters}, t0)
 
 
 def _monotone_plan(m, n):
@@ -106,7 +101,7 @@ def _monotone_plan(m, n):
 
 
 def cgw_lower_bound(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
-                    kernel: ConeKernel, max_iters: int = 1000) -> UotReport:
+                    kernel: ConeKernel, max_iters: int = 1000) -> SolverReport:
     """Lower bound on the conic network distance from value distributions.
 
     It is a bound only when the report's converged is True; see uot_solve.

@@ -174,7 +174,7 @@ def test_gw2_lockstep_equals_per_restart_loop(n, m, cap, restarts, monkeypatch):
         nx = random_network(r, n, unit_mass=True)
         ny = random_network(r, m, unit_mass=True)
         config = BaselineConfig(restarts=restarts, seed=seed, max_iters=max_iters, tol=1e-8)
-        value, coupling = gw2_solve(nx, ny, config)
+        value, coupling, _ = gw2_solve(nx, ny, config)
         ref_value, finals, best, _ = _gw2_per_restart(nx, ny, config)
         assert abs(value - ref_value) <= 1e-12
         assert np.abs(coupling - finals[best]).max() <= 1e-12
@@ -199,7 +199,7 @@ def test_gw2_zero_on_permutation(rng):
     perm = rng.permutation(5)
     net_p = validate_network(net.weights[perm],
                              net.kernel[np.ix_(perm, perm)])
-    value, coupling = gw2_solve(net, net_p, BaselineConfig(seed=1))
+    value, coupling, _ = gw2_solve(net, net_p, BaselineConfig(seed=1))
     assert value <= 1e-8
     assert _feasible(coupling, net.weights, net_p.weights)
 
@@ -209,7 +209,7 @@ def test_gw2_two_point_closed_form():
     a = np.array([0.5, 0.5])
     nx = validate_network(a, np.array([[0.0, 1.0], [1.0, 0.0]]))
     ny = validate_network(a, np.array([[0.0, 3.0], [3.0, 0.0]]))
-    value, coupling = gw2_solve(nx, ny)
+    value, coupling, _ = gw2_solve(nx, ny)
     # objective at any coupling with these marginals: both the identity and
     # the anti-diagonal give (1-3)^2 * (1/2), off terms add (1+9)/4 each ...
     # brute force the 1-parameter coupling family instead
@@ -232,9 +232,9 @@ def test_cot_matches_gw2_on_embedded_networks(rng):
     # (pi, pi) are feasible for COT
     nx = random_network(rng, 4, unit_mass=True)
     ny = random_network(rng, 4, unit_mass=True)
-    g, pi = gw2_solve(nx, ny, BaselineConfig(restarts=6))
+    g, pi, _ = gw2_solve(nx, ny, BaselineConfig(restarts=6))
     hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
-    value, cs, cf = cot_solve(hx, hy)
+    value, cs, cf, _ = cot_solve(hx, hy)
     assert _feasible(cs, hx.sample_weights, hy.sample_weights)
     assert _feasible(cf, hx.feature_weights, hy.feature_weights)
     assert value <= g + 1e-8 + 0.02 * g
@@ -242,7 +242,7 @@ def test_cot_matches_gw2_on_embedded_networks(rng):
 
 def test_cot_zero_on_identical(rng):
     hx = random_hypernetwork(rng, 4, 3, unit_mass=True)
-    value, _, _ = cot_solve(hx, hx)
+    value, _, _, _ = cot_solve(hx, hx)
     assert value <= 1e-8
 
 
@@ -302,7 +302,7 @@ def test_gw2_value_is_the_objective_of_its_coupling(seed):
     r = np.random.default_rng(seed)
     nx = random_network(r, 5, unit_mass=True)
     ny = random_network(r, 7, unit_mass=True)
-    value, coupling = gw2_solve(nx, ny, BaselineConfig(seed=seed))
+    value, coupling, _ = gw2_solve(nx, ny, BaselineConfig(seed=seed))
     exact = 0.5 * np.sqrt(_gw_objective(nx.kernel, ny.kernel, coupling))
     assert value == pytest.approx(exact, rel=1e-12)
 

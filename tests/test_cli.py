@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conicot import gen_aligned_hypernetworks
+from conicot import (BaselineConfig, cgw_lower_bound, cot_solve, embed_network_as_hypernetwork,
+                     gen_aligned_hypernetworks, gw2_solve, load_json, make_kernel)
 from conicot.cli import run_command
 from tests.conftest import random_network
 
@@ -240,11 +241,14 @@ def test_baseline_commands_reject_negative_max_iters(tmp_path, net_files, cmd, c
     (["gen-aligned", "--seed", "-1"], "negative_argument: seed = -1 is below 0"),
     (["img2net", "IMG", "--n-sample", "4", "--knn", "2", "--seed", "-1"],
      "negative_argument: seed = -1 is below 0"),
-    (["verify", "scaling", "NET", "--r", "inf"], "negative_scale: scale factor inf "),
-    (["verify", "scaling", "NET", "--s", "nan"], "negative_scale: scale factor nan "),
+    (["verify", "scaling", "NET", "--r", "inf"], "negative_scale: scale factor r = inf "),
+    (["verify", "scaling", "NET", "--s", "nan"], "negative_scale: scale factor s = nan "),
+    (["verify", "scaling", "NET", "--s", "inf"], "negative_scale: scale factor s = inf "),
+    (["verify", "scaling", "NET", "--r", "-1"], "negative_scale: scale factor r = -1.0 "),
     (["verify", "fragility", "--f-eps", "-1"], "validation: f_eps = -1.0 "),
 ], ids=["cgw-seed", "gw2-seed", "delta-sweep-seed", "robustness-seed", "gen-squares-seed",
-        "gen-aligned-seed", "img2net-seed", "scaling-r", "scaling-s", "fragility-f-eps"])
+        "gen-aligned-seed", "img2net-seed", "scaling-r", "scaling-s", "scaling-s-inf",
+        "scaling-r-negative", "fragility-f-eps"])
 def test_argument_out_of_range_is_named(tmp_path, net_files, argv, error, capsys,
                                         monkeypatch):
     # each is a bad input, so exit 1 with an error line that names it, never
@@ -446,4 +450,45 @@ def test_cot_output_echoes_no_seed(tmp_path, net_files, capsys, monkeypatch):
     # cot_solve reads no seed, so the output claims none
     code, out, _ = _run_in(tmp_path, ["cot", *net_files], capsys, monkeypatch)
     assert code == 0
-    assert set(json.loads(out)) == {"distance"}
+    payload = json.loads(out)
+    assert "seed" not in payload and "seed" not in payload["config"]
+    assert payload["config"] == {"max_iters": 1000, "tol": 1e-10}
+
+
+def _printed_before_reports(cmd, nx, ny):
+    """What gw2, cot and uot-bound printed at their default flags when each
+    built its own result dict, from the library calls each made."""
+    if cmd == "gw2":
+        return {"distance": gw2_solve(nx, ny, BaselineConfig(max_iters=1000))[0],
+                "config": {"seed": 0}}
+    if cmd == "cot":
+        return {"distance": cot_solve(embed_network_as_hypernetwork(nx),
+                                      embed_network_as_hypernetwork(ny),
+                                      BaselineConfig(max_iters=1000))[0]}
+    rep = cgw_lower_bound(nx, ny, make_kernel("exp", 0.5), max_iters=1000)
+    return {"distance": rep.value, "objective": rep.objective,
+            "iterations": rep.iterations, "converged": rep.converged,
+            "config": {"delta": 0.5, "kernel": "exp"}}
+
+
+@pytest.mark.parametrize("cmd, starts", [("gw2", 4), ("cot", 1), ("uot-bound", 2)])
+def test_baseline_commands_print_their_solve_report(tmp_path, net_files, cmd, starts,
+                                                     capsys, monkeypatch):
+    # each keeps every key and value it printed, config entries included,
+    # and gains the report's sweeps, stop, restarts and timing
+    before = _printed_before_reports(cmd, *(load_json(p) for p in net_files))
+    code, out, _ = _run_in(tmp_path, [cmd, *net_files], capsys, monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    for key, value in before.items():
+        if key == "config":
+            assert payload["config"].items() >= value.items()
+        else:
+            assert payload[key] == value
+    assert set(payload) >= {"iterations", "converged", "objective", "restarts",
+                            "best_restart", "wall_time"}
+    assert len(payload["restarts"]) == starts
+    best = payload["restarts"][payload["best_restart"]]
+    assert payload["converged"] == (best["stop"] == "rel_tol")
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["restarts"] == payload["restarts"]

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from conicot import (
+    BaselineConfig,
     SemiCouplingQuadruple,
     SolverConfig,
+    SolverReport,
     bca_solve,
     ccot_distance_from_objective,
+    cgw_lower_bound,
     cgw_solve,
+    cot_solve,
     embed_network_as_hypernetwork,
+    gw2_solve,
     make_kernel,
     objective_F,
+    pushforward_value_distribution,
+    uot_solve,
     validate_network,
 )
 from conicot import solver
@@ -337,6 +344,59 @@ def test_report_restarts_outcome(rng):
     objectives = [r["objective"] for r in report.restarts]
     assert report.best_restart == objectives.index(max(objectives))
     assert report.to_json_dict()["restarts"] == report.restarts
+
+
+# each solve's number of starts at restarts = 3: uot_solve has its product
+# and monotone starts, cot_solve its one alternation
+_STARTS = {"bca_solve": 3, "cgw_solve": 3, "uot_solve": 2, "cgw_lower_bound": 2,
+           "gw2_solve": 3, "cot_solve": 1}
+
+
+def _solve_with_report(name, max_iters):
+    """(value, report) of one solve of a seeded 5- and 6-node network pair."""
+    rng = np.random.default_rng(3)
+    nx = random_network(rng, 5, unit_mass=True)
+    ny = random_network(rng, 6, unit_mass=True)
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    config = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=3, max_iters=max_iters)
+    bconfig = BaselineConfig(restarts=3, max_iters=max_iters)
+    out = {
+        "bca_solve": lambda: bca_solve(hx, hy, config)[::2],
+        "cgw_solve": lambda: cgw_solve(nx, ny, config),
+        "uot_solve": lambda: uot_solve(pushforward_value_distribution(nx),
+                                       pushforward_value_distribution(ny),
+                                       config.kernel, max_iters),
+        "cgw_lower_bound": lambda: cgw_lower_bound(nx, ny, config.kernel, max_iters),
+        "gw2_solve": lambda: gw2_solve(nx, ny, bconfig)[::2],
+        "cot_solve": lambda: cot_solve(hx, hy, bconfig)[::3],
+    }[name]()
+    return out if isinstance(out, tuple) else (out.value, out)
+
+
+@pytest.mark.parametrize("max_iters", [2, 1000])
+@pytest.mark.parametrize("name", list(_STARTS))
+def test_every_solve_returns_one_report(name, max_iters):
+    value, report = _solve_with_report(name, max_iters)
+    assert isinstance(report, SolverReport)
+    assert report.value == value
+    assert len(report.restarts) == _STARTS[name]
+    assert report.iterations == len(report.objective_trace) - 1
+    for r in report.restarts:
+        assert set(r) == {"objective", "sweeps", "stop"}
+        assert r["stop"] == "rel_tol" or r["sweeps"] == max_iters
+    best = report.restarts[report.best_restart]
+    assert report.converged == (best["stop"] == "rel_tol")
+    assert (report.objective, report.iterations) == (best["objective"], best["sweeps"])
+    # the first best start: the largest conic objective, or the smallest
+    # distortion for the balanced baselines
+    objectives = [r["objective"] for r in report.restarts]
+    first_best = (min if name in ("gw2_solve", "cot_solve") else max)(objectives)
+    assert report.best_restart == objectives.index(first_best)
+    d = report.to_json_dict()
+    assert (d["distance"], d["converged"], d["restarts"]) == (
+        value, report.converged, report.restarts)
+    # two sweeps stop short of the tolerance on this pair, and a thousand reach it
+    assert report.converged == (max_iters == 1000)
 
 
 def test_update_block_on_a_stack_steps_each_slice(rng):
