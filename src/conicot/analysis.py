@@ -58,9 +58,9 @@ def _diag_quad(u, v) -> SemiCouplingQuadruple:
 
 
 def _coupling_quad(pi) -> SemiCouplingQuadruple:
-    """Balanced-coupling quadruple: all four matrices equal to pi."""
-    pi = np.asarray(pi, dtype=np.float64)
-    return SemiCouplingQuadruple(pi.copy(), pi.copy(), pi.copy(), pi.copy())
+    """Balanced-coupling quadruple: all four matrices are one copy of pi."""
+    pi = np.array(pi, dtype=np.float64)
+    return SemiCouplingQuadruple(pi, pi, pi, pi)
 
 
 def _with(config: SolverConfig, **kw) -> SolverConfig:
@@ -113,7 +113,19 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
         "pass": bool(dist <= bound_a + 1e-6),
     }
 
-    # (b) homogeneity at the objective level, an exact algebraic identity
+    # (c) d(N^r, N^s) <= d(N^r, N) + d(N, N^s), each bounded as in (a)
+    d_rs, _ = cgw_solve(net_r, net_s, _with(config, extra_inits=[
+        _diag_quad(r * net.weights, s * net.weights)]))
+    bound_c = 2.0 * delta * (abs(1 - r) + abs(1 - s)) * mass
+    check_c = {
+        "name": "combined_bound",
+        "distance": d_rs,
+        "bound": bound_c,
+        "pass": bool(d_rs <= bound_c + slack(bound_c)),
+    }
+
+    # (b) homogeneity at the objective level, an exact algebraic identity;
+    # its tensor is built after (c)'s solve, so the two are never alive at once
     t = r if r > 0 else 1.7
     tensor = build_tensor(hx, hy, config.kernel, config.tensor_policy)
     F0 = objective_F(quad, tensor)
@@ -129,17 +141,6 @@ def verify_scaling(net: DiscreteMeasureNetwork, r: float, s: float,
         "objective_rel_err": rel,
         "distance_sq_rel_err": rel_d,
         "pass": bool(rel <= 1e-9 and rel_d <= 1e-9),
-    }
-
-    # (c) d(N^r, N^s) <= d(N^r, N) + d(N, N^s), each bounded as in (a)
-    d_rs, _ = cgw_solve(net_r, net_s, _with(config, extra_inits=[
-        _diag_quad(r * net.weights, s * net.weights)]))
-    bound_c = 2.0 * delta * (abs(1 - r) + abs(1 - s)) * mass
-    check_c = {
-        "name": "combined_bound",
-        "distance": d_rs,
-        "bound": bound_c,
-        "pass": bool(d_rs <= bound_c + slack(bound_c)),
     }
     checks = [check_a, check_b, check_c]
     return {

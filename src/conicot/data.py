@@ -218,13 +218,10 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
             raise DegenerateSplit(f"k={k} not below train size {train_idx.size}")
         d2 = ((features[test_idx][:, None, :] - features[train_idx][None, :, :]) ** 2).sum(axis=2)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = labels[train_idx][nearest]
-        wrong = 0
-        for row, true in zip(votes, labels[test_idx]):
-            vals, counts = np.unique(row, return_counts=True)
-            picked = vals[counts == counts.max()].min()
-            wrong += int(picked != true)
-        errors.append(wrong / test_idx.size)
+        # votes per class of each test row; argmax takes the smallest tied class
+        counts = (labels[train_idx][nearest][:, :, None] == classes).sum(axis=1)
+        picked = classes[counts.argmax(axis=1)]
+        errors.append(int((picked != labels[test_idx]).sum()) / test_idx.size)
     return float(np.mean(errors)), float(np.std(errors))
 
 

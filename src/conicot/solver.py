@@ -103,9 +103,9 @@ class SolverReport:
              "iterations": self.iterations, "converged": self.converged,
              "wall_time": self.wall_time, "config": self.config,
              "best_restart": self.best_restart, "restarts": self.restarts}
-        for name in ("quantization_uncertainty", "frobenius_gap", "equality_certified"):
-            if getattr(self, name) is not None:
-                d[name] = getattr(self, name)
+        for f in dataclasses.fields(self):  # the optional fields that are set
+            if f.default is None and getattr(self, f.name) is not None:
+                d[f.name] = getattr(self, f.name)
         return d
 
 
@@ -312,18 +312,18 @@ def _run_stack(tensors, marginals, starts, size, config):
     def tensor_of(s):
         return DistortionTensor(TensorMode.Dense, tensor.dims, s.matrix) if mixed else tensor
 
-    s.Mp = np.sqrt(s.Ap * s.Bp)
-    F = _totals(np.sqrt(s.A * s.B) * contract(tensor_of(s), Side.SampleSide, s.Mp))
+    F = _totals(np.sqrt(s.A * s.B)
+                * contract(tensor_of(s), Side.SampleSide, np.sqrt(s.Ap * s.Bp)))
 
     def sweep(s):
         T = tensor_of(s)
         # P and Q are squared inline: holding one to the end of its step as
         # well as its square would keep one more n x m array alive at the
         # memory peak
-        s.A, s.B, _ = update_block(s.B, contract(T, Side.SampleSide, s.Mp) ** 2, a, b)
+        s.A, s.B, _ = update_block(
+            s.B, contract(T, Side.SampleSide, np.sqrt(s.Ap * s.Bp)) ** 2, a, b)
         s.Ap, s.Bp, F = update_block(
             s.Bp, contract(T, Side.FeatureSide, np.sqrt(s.A * s.B)) ** 2, ap, bp)
-        s.Mp = np.sqrt(s.Ap * s.Bp)
         return F
 
     return [(k, SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
@@ -331,45 +331,45 @@ def _run_stack(tensors, marginals, starts, size, config):
                 kernels, _ascend(s, F, sweep, config.max_iters, config.rel_tol))]
 
 
-def _solve_group(hx, hy, configs):
-    """bca_solve for each of configs, which differ only in kernel, as one ascent.
+def _solve_group(hx, hy, config, kernels):
+    """bca_solve for config with each of kernels, as one ascent; each report
+    echoes config with its own kernel.
 
-    Each config's tensor is built here. Stacks hold as many starts as fit
+    Each kernel's tensor is built here. Stacks hold as many starts as fit
     _BLOCK_ENTRIES entries per block, where a start in a stack of several
     kernels carries its own dense matrix as a block. Each report's wall_time
     runs from the start of this call.
     """
     t0 = time.perf_counter()
-    tensors = [build_tensor(hx, hy, c.kernel, c.tensor_policy) for c in configs]
+    tensors = [build_tensor(hx, hy, k, config.tensor_policy) for k in kernels]
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     masses = (hx.sample_mass, hx.feature_mass, hy.sample_mass, hy.feature_mass)
     n, np_, m, mp = tensors[0].dims
-    block = n * np_ * m * mp if len(configs) > 1 else max(n * m, np_ * mp, 1)
+    block = n * np_ * m * mp if len(kernels) > 1 else max(n * m, np_ * mp, 1)
     per_stack = max(1, _BLOCK_ENTRIES // block)
-    starts = [(k, start) for k, (t, c) in enumerate(zip(tensors, configs))
-              for start in _inits(marginals, t, c)]
+    starts = [(k, start) for k, t in enumerate(tensors) for start in _inits(marginals, t, config)]
 
     # a restart's quadruple is kept only while it is its kernel's best
-    runs = [[] for _ in configs]
-    best = [None] * len(configs)
+    runs = [[] for _ in kernels]
+    best = [None] * len(kernels)
     while starts:
-        for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack,
-                                               configs[0]):
+        for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack, config):
             runs[k].append((None, trace, stop))
             if best[k] is None or trace[-1] > best[k][2]:
                 best[k] = (len(runs[k]) - 1, quad, trace[-1])
 
     out = []
-    for config, tensor, run, (idx, quad, F) in zip(configs, tensors, runs, best):
-        distance = ccot_distance_from_objective(F, masses, config.kernel.delta)
+    for kernel, tensor, run, (idx, quad, F) in zip(kernels, tensors, runs, best):
+        distance = ccot_distance_from_objective(F, masses, kernel.delta)
         err = tensor.quantization_error  # 0.0 but for a quantized tensor
         qunc = err and (err * float(np.sqrt(quad.A * quad.B).sum())
                         * float(np.sqrt(quad.Ap * quad.Bp).sum()))
         gap = None
         if quad.A.shape == quad.Ap.shape:
             gap = float(((quad.A - quad.Ap) ** 2).sum() + ((quad.B - quad.Bp) ** 2).sum())
-        out.append((distance, quad, _report(run, idx, distance, config.echo(), t0,
+        echo = dataclasses.replace(config, kernel=kernel).echo()
+        out.append((distance, quad, _report(run, idx, distance, echo, t0,
                                             quantization_uncertainty=qunc,
                                             frobenius_gap=gap)))
     return out
@@ -395,8 +395,8 @@ def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypern
     """bca_solve(hx, hy, config with each kernel of kernels in turn).
 
     Kernels whose dense matrices together fit _BLOCK_ENTRIES entries sweep
-    their restarts as one stack; every kernel keeps its own starts, stop
-    rule and best restart. Otherwise the kernels are solved one after
+    their restarts as one stack; every kernel keeps its own starts, traces
+    and best restart. Otherwise the kernels are solved one after
     another and each tensor is built on its turn, so no two large tensors
     are alive at once. Returns one (distance, quadruple, report) per kernel.
 
@@ -412,10 +412,9 @@ def bca_solve_kernels(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypern
     size = 1
     if config.tensor_policy.fits_dense(dims):
         size = max(1, _BLOCK_ENTRIES // max(1, math.prod(dims)))
-    configs = [dataclasses.replace(config, kernel=k) for k in kernels]
     out = []
-    for g in range(0, len(configs), size):
-        out += _solve_group(hx, hy, configs[g:g + size])
+    for g in range(0, len(kernels), size):
+        out += _solve_group(hx, hy, config, kernels[g:g + size])
     return out
 
 
@@ -432,12 +431,11 @@ def cgw_solve(
     t0 = time.perf_counter()
     distance, quad, report = bca_solve(embed_network_as_hypernetwork(nx),
                                        embed_network_as_hypernetwork(ny), config)
-    norm = float((quad.A**2).sum() + (quad.B**2).sum())
-    gap_ok = report.frobenius_gap < 1e-10 * max(norm, 1e-300)
-    pd_ok = False
+    report.equality_certified = False
     if nx.n * ny.n <= PD_CHECK_CAP:
         report.pd_min_eigenvalue = kernel_pd_check(config.kernel, nx.kernel, ny.kernel)
-        pd_ok = report.pd_min_eigenvalue >= -1e-9
-    report.equality_certified = bool(gap_ok and pd_ok)
+        norm = float((quad.A**2).sum() + (quad.B**2).sum())
+        report.equality_certified = bool(report.frobenius_gap < 1e-10 * max(norm, 1e-300)
+                                         and report.pd_min_eigenvalue >= -1e-9)
     report.wall_time = time.perf_counter() - t0
     return distance, report

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -182,3 +183,27 @@ def test_verify_scaling_solves_each_pair_once(rng, monkeypatch):
     dist, _ = cgw_solve(scale_measure(net, 1.0), scale_measure(net, 2.0),
                         dataclasses.replace(cfg, extra_inits=[seed]))
     assert out["checks"][0]["distance"] == dist
+
+
+def test_verify_scaling_holds_no_tensor_through_its_solve(rng, monkeypatch):
+    # check (b)'s dense tensor must be gone, or not yet built, while check
+    # (c)'s cgw_solve builds its own
+    net = random_network(rng, 6, unit_mass=True)
+    cfg = _cfg()
+    expected = verify_scaling(net, r=2.0, s=0.5, config=cfg)
+    alive = []
+    build, solve = conicot.analysis.build_tensor, conicot.analysis.cgw_solve
+
+    def building(*args):
+        tensor = build(*args)
+        alive.append(weakref.ref(tensor))
+        return tensor
+
+    def solving(*args, **kwargs):
+        assert all(ref() is None for ref in alive)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conicot.analysis, "build_tensor", building)
+    monkeypatch.setattr(conicot.analysis, "cgw_solve", solving)
+    assert verify_scaling(net, r=2.0, s=0.5, config=cfg) == expected
+    assert len(alive) == 1

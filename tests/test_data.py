@@ -151,6 +151,40 @@ def test_knn_classify_null(rng):
     assert 0.2 < mean < 0.8
 
 
+def _knn_error_per_row(features, labels, k, label_rate, trials, seed=0):
+    """knn_classify's error by one vote per test row: the smallest of the most
+    voted labels wins."""
+    classes = np.unique(labels)
+    rng = np.random.default_rng(seed)
+    errors = []
+    for _ in range(trials):
+        train = np.concatenate([
+            rng.permutation(np.flatnonzero(labels == c))[
+                :int(round(label_rate * (labels == c).sum()))] for c in classes])
+        test = np.setdiff1d(np.arange(labels.size), train)
+        d2 = ((features[test][:, None, :] - features[train][None, :, :]) ** 2).sum(axis=2)
+        votes = labels[train][np.argsort(d2, axis=1, kind="stable")[:, :k]]
+        wrong = 0
+        for row, true in zip(votes, labels[test]):
+            vals, counts = np.unique(row, return_counts=True)
+            wrong += int(vals[counts == counts.max()].min() != true)
+        errors.append(wrong / test.size)
+    return float(np.mean(errors)), float(np.std(errors))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_knn_classify_matches_a_per_row_vote(case):
+    # even k and few distinct features tie votes; labels are not 0..C-1
+    r = np.random.default_rng(case)
+    n = int(r.integers(20, 40))
+    feats = r.integers(0, 3, size=(n, 2)).astype(float)
+    labels = r.choice([-3, 2, 7, 11][:int(r.integers(2, 5))], size=n)
+    labels[:8] = np.resize(np.unique(labels), 8)  # every class has two or more rows
+    k = int(r.choice([2, 4, 6]))
+    args = (feats, labels, k, 0.5, 3, case)
+    assert knn_classify(*args) == _knn_error_per_row(*args)
+
+
 def test_knn_classify_rejects_more_labels_than_feature_rows():
     with pytest.raises(LengthMismatch):
         knn_classify(np.zeros((6, 2)), np.array([0, 1] * 5), k=1, label_rate=0.5,

@@ -224,6 +224,21 @@ def test_no_certificate_from_an_unswept_jittered_start(rng):
     assert report.frobenius_gap > 1e-3
 
 
+@pytest.mark.parametrize("n, m", [(20, 20), (21, 20)])
+def test_pd_min_eigenvalue_is_printed_when_the_pd_check_ran(rng, n, m):
+    # the check runs for n * m <= PD_CHECK_CAP = 400 and only then sets the field
+    nx, ny = random_network(rng, n), random_network(rng, m)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=1, max_iters=3)
+    _, report = cgw_solve(nx, ny, cfg)
+    d = report.to_json_dict()
+    assert isinstance(d["equality_certified"], bool)
+    if n * m <= 400:
+        assert report.pd_min_eigenvalue is not None
+        assert d["pd_min_eigenvalue"] == report.pd_min_eigenvalue
+    else:
+        assert report.pd_min_eigenvalue is None and "pd_min_eigenvalue" not in d
+
+
 def test_report_fields(rng):
     nx = random_network(rng, 4, unit_mass=True)
     ny = random_network(rng, 5, unit_mass=True)
