@@ -14,6 +14,7 @@ A -> B -> A' -> B'. The distance is recovered from the optimal objective via
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 import types
@@ -153,26 +154,29 @@ def _product_pair(a, b):
 
 
 def _tight(W, target, axis, s=None):
-    """Rescale W so its row (axis=1) or column (axis=0) sums equal target.
+    """Rescale W in place so its row (axis=1) or column (axis=0) sums equal
+    target, and return it.
 
     A line whose sum vanishes stays zero. The lines are those of W's last two
     axes, so a stack of matrices is rescaled one slice at a time; s, W's
     line sums, may be passed by a caller that has them. This is the one
     closed-form step of the block ascent: every block update, projection
-    and UOT step ends here.
+    and UOT step ends here, on a product it has just formed.
     """
     # np.add.reduce and np.zeros skip the Python wrappers of ndarray.sum and
     # np.zeros_like: this step runs thousands of times on tiny blocks
     if s is None:
         s = np.add.reduce(W, axis=axis - 2)
     r = np.divide(target, s, out=np.zeros(s.shape), where=s > 0)
-    return W * (r[..., None] if axis == 1 else r[..., None, :])
+    W *= r[..., None] if axis == 1 else r[..., None, :]
+    return W
 
 
 def _project_pair(A, B, live, row_target, col_target):
     """Zero a semi-coupling pair off the mask live, then make it tight: rows
     of A to row_target, columns of B to col_target. A and B may carry a
-    leading stack axis."""
+    leading stack axis; they are left as they are, and the pair returned is
+    new."""
     return _tight(A * live, row_target, 1), _tight(B * live, col_target, 0)
 
 
@@ -189,23 +193,25 @@ def project_to_gamma_bar(quad: SemiCouplingQuadruple, live, marginals) -> SemiCo
                                  *_project_pair(quad.Ap, quad.Bp, live[1], ap, bp))
 
 
-def update_block(partner, K2, row_target, col_target):
-    """One ascent step on a semi-coupling pair (A, B), the other pair fixed.
+def update_block(A, B, K2, row_target, col_target):
+    """One ascent step on a semi-coupling pair (A, B), the other pair fixed;
+    the new pair overwrites A and B.
 
     With the other pair held fixed, F = Sigma_ik K_ik sqrt(A_ik B_ik) for K its
     contraction (P for the pair (A, B), Q for (A', B')), and K2 = K^2 is
-    passed. A, the maximizer over A given B = partner, is partner weighted by
-    K2 and made tight to row_target; B, the maximizer given that new A, is A
-    weighted by K2 and made tight to col_target. Returns (A, B, F) with F the
-    new pair's objective, Sigma_l sqrt(col_target_l s_l) for s the column sums
-    of A K2: B = A K2 col_target / s and K >= 0, so sqrt(A B) K = A K2
-    sqrt(col_target / s), and a zero column adds 0 to both. partner and K2
-    may carry a leading stack axis; F then has one entry per slice.
+    passed. A becomes the maximizer over A given B: B weighted by K2 and
+    made tight to row_target; B then becomes the maximizer given that new
+    A: A weighted by K2 and made tight to col_target. The old A is never
+    read. Returns F, the new pair's objective, Sigma_l sqrt(col_target_l
+    s_l) for s the column sums of A K2: B = A K2 col_target / s and K >= 0,
+    so sqrt(A B) K = A K2 sqrt(col_target / s), and a zero column adds 0 to
+    both. A, B and K2 may carry a leading stack axis; F then has one entry
+    per slice.
     """
-    A = _tight(partner * K2, row_target, 1)
-    W = A * K2
-    s = np.add.reduce(W, axis=-2)
-    return A, _tight(W, col_target, 0, s), np.add.reduce(np.sqrt(col_target * s), axis=-1)
+    _tight(np.multiply(B, K2, out=A), row_target, 1)
+    s = np.add.reduce(np.multiply(A, K2, out=B), axis=-2)
+    _tight(B, col_target, 0, s)
+    return np.add.reduce(np.sqrt(col_target * s), axis=-1)
 
 
 def _totals(X):
@@ -213,16 +219,17 @@ def _totals(X):
     return np.add.reduce(X.reshape(len(X), -1), axis=1)
 
 
-def _ascend(state, F, sweep, max_iters, rel_tol):
+def _ascend(state, F, sweep, max_iters, rel_tol, blocks=None):
     """Sweep a stack of restarts until each one stops.
 
     state holds arrays with a leading restart axis as attributes and F the
-    restarts' objectives; sweep(state) rebinds the attributes to the next
+    restarts' objectives; sweep(state) steps the attributes to the next
     iterate and returns its objectives. A restart stops at "rel_tol" once a
     sweep changes its objective by at most rel_tol * max(1, |F|), else at
-    "max_iters". A restart that stops while others go on has its arrays
-    copied out, and the stack is compacted then. Returns one
-    (state, objective trace, stop) per restart, in stack order.
+    "max_iters". A restart that stops while others go on has its slices of
+    the attributes named in blocks (default: every one) copied out, and
+    every attribute of the stack is compacted then. Returns one (state of
+    those attributes, objective trace, stop) per restart, in stack order.
 
     The stop rule runs on Python floats: a stack holds a few restarts, and
     for so few numbers each numpy call costs more than its arithmetic.
@@ -236,11 +243,11 @@ def _ascend(state, F, sweep, max_iters, rel_tol):
         nonlocal live
         rest = [not d for d in done]
         copy = any(rest)  # restarts that leave last keep views of the stack
-        arrays = vars(state)
         for pos in np.flatnonzero(done):
-            own = {k: X[pos].copy() if copy else X[pos] for k, X in arrays.items()}
+            own = {k: getattr(state, k)[pos] for k in blocks or vars(state)}
+            own = {k: X.copy() for k, X in own.items()} if copy else own
             out[live[pos]] = (type(state)(**own), traces[live[pos]], stop)
-        for k, X in arrays.items():
+        for k, X in vars(state).items():
             setattr(state, k, X[np.array(rest)])
         live = [k for k, keep in zip(live, rest) if keep]
 
@@ -259,23 +266,26 @@ def _ascend(state, F, sweep, max_iters, rel_tol):
 
 
 def _inits(marginals, tensor, config):
-    """Every restart's start, projected to Gamma-bar by Omega-slice masks
-    computed once: the product one, config.restarts - 1 jittered ones, then
-    config.extra_inits. All zero when every slice sum vanishes: the ascent
-    then stops at F = 0."""
+    """Yield every restart's start, projected to Gamma-bar by Omega-slice
+    masks computed once: the product one, config.restarts - 1 jittered
+    ones, then config.extra_inits. A start is made when it is taken, one
+    semi-coupling pair at a time. All zero when every slice sum vanishes:
+    the ascent then stops at F = 0."""
     a, b, ap, bp = marginals = tuple(np.asarray(v, dtype=np.float64) for v in marginals)
     live = tuple(sums != 0.0 for sums in tensor.slice_sums())
     rng = np.random.default_rng(config.seed)
 
-    def start(jitter):
-        blocks = _product_pair(a, b) + _product_pair(ap, bp)
+    def pair(row, col, mask, jitter):
+        A, B = _product_pair(row, col)
         if jitter:
-            for M in blocks:
+            for M in (A, B):
                 M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
-        return project_to_gamma_bar(SemiCouplingQuadruple(*blocks), live, marginals)
+        return _project_pair(A, B, mask, row, col)
 
-    return ([start(False)] + [start(True) for _ in range(config.restarts - 1)]
-            + [project_to_gamma_bar(extra, live, marginals) for extra in config.extra_inits])
+    for r in range(config.restarts):
+        yield SemiCouplingQuadruple(*pair(a, b, live[0], r > 0), *pair(ap, bp, live[1], r > 0))
+    for extra in config.extra_inits:
+        yield project_to_gamma_bar(extra, live, marginals)
 
 
 def _stack(starts):
@@ -289,21 +299,28 @@ def _stack(starts):
         **{name: np.stack(b) if len(b) > 1 else b[0][None] for name, b in blocks.items()})
 
 
-def _run_stack(tensors, marginals, starts, size, config):
-    """Cyclic sweeps of the first `size` starts as one stack.
+def _root_product(X, Y):
+    """sqrt(X Y), formed in one new array."""
+    R = np.multiply(X, Y)
+    return np.sqrt(R, out=R)
 
-    starts holds (kernel index into tensors, start) pairs in kernel order.
-    They are taken out of the list, so it holds none of them through the
-    ascent. A stack of one kernel contracts with its tensor; a stack of
-    several with one dense matrix per start, compacted along with the
-    starts. A sweep is two pair steps, on P^2 then Q^2, and its objective is
-    the second step's F, Sigma_l sqrt(b'_l s_l) for s the column sums of
-    A' Q^2, so no separate objective pass runs. Returns one (kernel index,
-    quadruple, objective trace, stop) per start, in order.
+
+def _run_stack(tensors, marginals, starts, size, config):
+    """Cyclic sweeps of the next `size` starts as one stack.
+
+    starts yields (kernel index into tensors, start) pairs in kernel order,
+    each made as it is taken. A stack of one kernel contracts with its
+    tensor; a stack of several with one dense matrix per start, compacted
+    along with the starts. A sweep is two pair steps, on P^2 then Q^2, each
+    updating its pair in place, and its objective is the second step's F,
+    Sigma_l sqrt(b'_l s_l) for s the column sums of A' Q^2, so no separate
+    objective pass runs. Returns one (kernel index, quadruple, objective
+    trace, stop) per start, in order.
     """
     a, b, ap, bp = marginals
-    kernels = [k for k, _ in starts[:size]]
-    s = _stack([starts.pop(0)[1] for _ in kernels])
+    kernels, taken = zip(*itertools.islice(starts, size))
+    s = _stack(taken)
+    del taken  # a stack of several starts is a copy of them
     tensor = tensors[kernels[0]]
     mixed = kernels[0] != kernels[-1]
     if mixed:
@@ -312,23 +329,28 @@ def _run_stack(tensors, marginals, starts, size, config):
     def tensor_of(s):
         return DistortionTensor(TensorMode.Dense, tensor.dims, s.matrix) if mixed else tensor
 
-    F = _totals(np.sqrt(s.A * s.B)
-                * contract(tensor_of(s), Side.SampleSide, np.sqrt(s.Ap * s.Bp)))
+    P = contract(tensor_of(s), Side.SampleSide, _root_product(s.Ap, s.Bp))
+    P *= _root_product(s.A, s.B)
+    F = _totals(P)
+    del P
 
     def sweep(s):
         T = tensor_of(s)
-        # P and Q are squared inline: holding one to the end of its step as
-        # well as its square would keep one more n x m array alive at the
-        # memory peak
-        s.A, s.B, _ = update_block(
-            s.B, contract(T, Side.SampleSide, np.sqrt(s.Ap * s.Bp)) ** 2, a, b)
-        s.Ap, s.Bp, F = update_block(
-            s.Bp, contract(T, Side.FeatureSide, np.sqrt(s.A * s.B)) ** 2, ap, bp)
-        return F
+        update_block(s.A, s.B, _squared_contraction(T, Side.SampleSide, s.Ap, s.Bp), a, b)
+        return update_block(s.Ap, s.Bp, _squared_contraction(T, Side.FeatureSide, s.A, s.B),
+                            ap, bp)
 
     return [(k, SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
-            for k, (r, trace, stop) in zip(
-                kernels, _ascend(s, F, sweep, config.max_iters, config.rel_tol))]
+            for k, (r, trace, stop) in zip(kernels, _ascend(
+                s, F, sweep, config.max_iters, config.rel_tol, ("A", "B", "Ap", "Bp")))]
+
+
+def _squared_contraction(tensor, side, X, Y):
+    """contract(tensor, side, sqrt(X Y))^2, formed in the contraction's own
+    array. A pair step's K^2 is an argument of that step alone, so it is
+    dropped before the next contraction."""
+    K = contract(tensor, side, _root_product(X, Y))
+    return np.square(K, out=K)
 
 
 def _solve_group(hx, hy, config, kernels):
@@ -348,16 +370,21 @@ def _solve_group(hx, hy, config, kernels):
     n, np_, m, mp = tensors[0].dims
     block = n * np_ * m * mp if len(kernels) > 1 else max(n * m, np_ * mp, 1)
     per_stack = max(1, _BLOCK_ENTRIES // block)
-    starts = [(k, start) for k, t in enumerate(tensors) for start in _inits(marginals, t, config)]
+    # map holds no start once it is taken, as a generator's loop variable would
+    starts = itertools.chain.from_iterable(
+        map(lambda start, k=k: (k, start), _inits(marginals, t, config))
+        for k, t in enumerate(tensors))
 
     # a restart's quadruple is kept only while it is its kernel's best
     runs = [[] for _ in kernels]
     best = [None] * len(kernels)
-    while starts:
+    n_starts = len(kernels) * (config.restarts + len(config.extra_inits))
+    for _ in range(0, n_starts, per_stack):
         for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack, config):
             runs[k].append((None, trace, stop))
             if best[k] is None or trace[-1] > best[k][2]:
                 best[k] = (len(runs[k]) - 1, quad, trace[-1])
+        del quad  # the last restart's, which the next stack must not hold too
 
     out = []
     for kernel, tensor, run, (idx, quad, F) in zip(kernels, tensors, runs, best):

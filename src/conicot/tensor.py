@@ -100,6 +100,12 @@ def _quantize(values: np.ndarray, q: int):
 
     Returns (bin_centers, bin_ids shaped like values, half_width).
     """
+    # a kernel of two values (binary adjacency) needs no sort: its ids are
+    # values == max, as searchsorted over np.unique would give them
+    lo, hi = values.min(), values.max()
+    top = values == hi
+    if q >= 2 and lo < hi and (top | (values == lo)).all():
+        return np.array([lo, hi]), top.astype(np.int64), 0.0
     # np.unique(return_inverse=True) would give the same ids from one sort, but
     # it argsorts: over 10x slower than this on a 10^6-entry binary kernel
     distinct = np.unique(values)
@@ -323,6 +329,13 @@ def _contract_factored(tensor: DistortionTensor, side: Side, M: np.ndarray) -> n
     and the background constant. Both sides are accumulated transposed, so
     the factor layouts make every reshape free and the sparse Ys multiplies
     from the left. Zero-column factors (no non-background y-bin) give zeros.
+
+    scipy.sparse copies a non-contiguous dense operand only after it has
+    allocated the product, so the operand, its copy and the product are
+    alive at once. Where the operand is an intermediate, it is copied here
+    instead and dropped before the product: the sample side's (M^T XG),
+    and the feature side's (Ys^T M^T) when XG is sparse. A dense XG takes
+    that operand as it is: the copy would be a strided transpose.
     """
     n, np_, m, mp = tensor.dims
     a, b = tensor.background
@@ -330,10 +343,13 @@ def _contract_factored(tensor: DistortionTensor, side: Side, M: np.ndarray) -> n
     Dx, Dy = tensor.offsets
     rows, cols = M.sum(axis=1), M.sum(axis=0)
     if side is Side.SampleSide:  # P^T = Ys (M^T XG), m x n
-        out = Ys @ (M.T @ XG).reshape(-1, n)
+        out = Ys @ np.ascontiguousarray((M.T @ XG).reshape(-1, n))
         yterm, xterm = Dy @ cols, Dx @ rows
-    else:  # Q^T = (Ys^T M^T) XG^T, m' x n'
+    elif isinstance(XG, np.ndarray):  # Q^T = (Ys^T M^T) XG^T, m' x n'
         out = (Ys.T @ M.T).reshape(mp, -1) @ XG.T
+        yterm, xterm = Dy.T @ cols, Dx.T @ rows
+    else:  # Q = XG (Ys^T M^T)^T, n' x m'
+        out = (XG @ np.ascontiguousarray((Ys.T @ M.T).reshape(mp, -1).T)).T
         yterm, xterm = Dy.T @ cols, Dx.T @ rows
     out += yterm[:, None]
     out += xterm + tensor.omega_table[a, b] * rows.sum()

@@ -78,8 +78,7 @@ def uot_solve(mu: DiscreteValueMeasure, nu: DiscreteValueMeasure,
     W2 = W * W
 
     def sweep(s):
-        s.A, s.B, F = update_block(s.B, W2, m, n)
-        return F
+        return update_block(s.A, s.B, W2, m, n)
 
     runs = _ascend(s, _totals(W * np.sqrt(s.A * s.B)), sweep, max_iters, REL_TOL)
     best = max(range(len(runs)), key=lambda i: runs[i][1][-1])  # the first best

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -40,7 +41,7 @@ def _setup(rng, dims=(3, 4, 3, 4), kernel_name="exp", delta=0.5):
     marginals = (hx.sample_weights, hy.sample_weights,
                  hx.feature_weights, hy.feature_weights)
     config = SolverConfig(kernel=k)
-    quad = solver._inits(marginals, tensor, config)[0]
+    quad = next(solver._inits(marginals, tensor, config))
     return hx, hy, tensor, marginals, config, quad
 
 
@@ -56,13 +57,18 @@ _BLOCKS = {"A": ("A", 0, 1), "B": ("B", 1, 0),
 
 
 def _pair_step(quad, tensor, marginals, block):
-    """The contraction K of the block's pair and the pair step (A, B) from quad."""
+    """The contraction K of the block's pair and the pair step (A, B) from
+    quad, taken on a copy of the pair so quad stays as it is."""
     a, b, ap, bp = marginals
     if block in ("A", "B"):
         K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
-        return K, update_block(quad.B, K * K, a, b)[:2]
+        pair = quad.A.copy(), quad.B.copy()
+        update_block(*pair, K * K, a, b)
+        return K, pair
     K = contract(tensor, Side.FeatureSide, np.sqrt(quad.A * quad.B))
-    return K, update_block(quad.Bp, K * K, ap, bp)[:2]
+    pair = quad.Ap.copy(), quad.Bp.copy()
+    update_block(*pair, K * K, ap, bp)
+    return K, pair
 
 
 @pytest.mark.parametrize("block", ["A", "B", "Aprime", "Bprime"])
@@ -419,9 +425,11 @@ def test_update_block_on_a_stack_steps_each_slice(rng):
     a, b = marginals[:2]
     K = contract(tensor, Side.SampleSide, np.sqrt(quad.Ap * quad.Bp))
     partners = np.stack([quad.B * rng.uniform(0.5, 1.5, quad.B.shape) for _ in range(3)])
-    A, B, _ = update_block(partners, K * K, a, b)
+    A, B = np.empty_like(partners), partners.copy()
+    update_block(A, B, K * K, a, b)
     for s in range(3):
-        As, Bs, _ = update_block(partners[s], K * K, a, b)
+        As, Bs = np.empty_like(partners[s]), partners[s].copy()
+        update_block(As, Bs, K * K, a, b)
         assert np.array_equal(A[s], As) and np.array_equal(B[s], Bs)
 
 
@@ -435,11 +443,13 @@ def test_update_block_returns_the_objective_of_its_pair(rng):
     col_target[4] = 0.0
     partners = rng.uniform(0.0, 1.0, (3, 5, 6))
     K2 = K * K
-    A, B, F = update_block(partners, K2, row_target, col_target)
+    A, B = np.empty_like(partners), partners.copy()
+    F = update_block(A, B, K2, row_target, col_target)
     assert F.shape == (3,)
     assert np.allclose(F, (np.sqrt(K2) * np.sqrt(A * B)).sum((-2, -1)), rtol=1e-13, atol=0)
     for s in range(3):
-        assert update_block(partners[s], K2, row_target, col_target)[2] == F[s]
+        As, Bs = np.empty_like(partners[s]), partners[s].copy()
+        assert update_block(As, Bs, K2, row_target, col_target) == F[s]
 
 
 @pytest.mark.parametrize("policy, mode", [
@@ -634,3 +644,102 @@ def test_extra_init_of_the_wrong_shape_names_the_expected_shapes(rng):
     cfg = SolverConfig(kernel=make_kernel("exp", 0.5), extra_inits=[bad])
     with pytest.raises(DimensionMismatch, match=r"\(3, 4\).*\(2, 2\)"):
         bca_solve(hx, hy, cfg)
+
+
+def test_mixed_stack_restarts_leave_with_their_blocks_only(rng, monkeypatch):
+    # four deltas sweep as one stack with one dense matrix per start; the
+    # restarts that leave take A, B, A', B' and no copy of their matrix
+    nx, ny = random_network(rng, 5), random_network(rng, 5)
+    hx, hy = embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny)
+    ascend, states = solver._ascend, []
+
+    def recording(*args, **kwargs):
+        out = ascend(*args, **kwargs)
+        states.extend(state for state, _, _ in out)
+        return out
+
+    monkeypatch.setattr(solver, "_ascend", recording)
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=4)
+    solves = solver.bca_solve_kernels(hx, hy, cfg, [make_kernel("exp", d)
+                                                    for d in (0.5, 1.0, 2.0, 4.0)])
+    assert len(states) == 16
+    assert all(sorted(vars(s)) == ["A", "Ap", "B", "Bp"] for s in states)
+    assert all(getattr(s, k).shape == (5, 5) for s in states for k in vars(s))
+    # the restarts stop at different sweeps, so most leave while others sweep on
+    sweeps = [r["sweeps"] for _, _, report in solves for r in report.restarts]
+    assert len(set(sweeps)) > 1
+
+
+def _shared_and_own_starts(rng, n, m):
+    """Two extra starts: one array as all four blocks (as analysis passes a
+    coupling), and four arrays of their own."""
+    pi = rng.uniform(0.0, 1.0, (n, m))
+    return [SemiCouplingQuadruple(pi, pi, pi, pi),
+            SemiCouplingQuadruple(*(rng.uniform(0.0, 1.0, (n, m)) for _ in range(4)))]
+
+
+@pytest.mark.parametrize("n", [5, 260], ids=["one-stack", "stack-per-start"])
+def test_bca_solve_leaves_the_callers_extra_inits_as_they_are(rng, n):
+    # the sweeps update their stack in place; every start is projected into
+    # new arrays first, for small solves stacked and for large ones alone
+    if n == 5:
+        nx, ny = random_network(rng, n), random_network(rng, n)
+        policy = TensorPolicy()
+    else:
+        nx, ny = (validate_network(np.full(n, 1.0 / n), _knn_adjacency(rng, n, 4))
+                  for _ in range(2))
+        policy = TensorPolicy(max_dense_bytes=16 * n * n)
+        assert n * n > solver._BLOCK_ENTRIES
+    extras = _shared_and_own_starts(rng, n, n)
+    before = [getattr(q, k).copy() for q in extras for k in ("A", "B", "Ap", "Bp")]
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=2, max_iters=5,
+                       tensor_policy=policy, extra_inits=extras)
+    _, quad, report = bca_solve(embed_network_as_hypernetwork(nx),
+                                embed_network_as_hypernetwork(ny), cfg)
+    after = [getattr(q, k) for q in extras for k in ("A", "B", "Ap", "Bp")]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    assert len(report.restarts) == 4
+    assert not any(np.shares_memory(getattr(quad, k), x) for k in vars(quad) for x in after)
+
+
+def test_project_to_gamma_bar_leaves_its_input_as_it_is(rng):
+    _, _, tensor, marginals, _, _ = _setup(rng, dims=(4, 4, 4, 4))
+    quad = _shared_and_own_starts(rng, 4, 4)[0]
+    pi = quad.A.copy()
+    fixed = project_to_gamma_bar(quad, _live(tensor), marginals)
+    assert np.array_equal(quad.A, pi) and all(X is quad.A for X in vars(quad).values())
+    assert not any(np.shares_memory(X, pi) or np.shares_memory(X, quad.A)
+                   for X in vars(fixed).values())
+
+
+def test_stack_returns_quadruples_that_share_no_memory(rng):
+    # restarts that leave early are copied out of the stack, the last ones
+    # keep views of it; none of the 16 blocks overlaps another
+    _, _, tensor, marginals, config, _ = _setup(rng)
+    starts = [(0, start) for start in solver._inits(marginals, tensor, config)]
+    out = solver._run_stack([tensor], marginals, starts, 4, config)
+    assert len(out) == 4 and len({len(trace) for _, _, trace, _ in out}) > 1
+    blocks = [getattr(q, k) for _, q, _, _ in out for k in ("A", "B", "Ap", "Bp")]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(blocks) for y in blocks[:i])
+
+
+@pytest.mark.parametrize("restarts, bound", [(1, 8.0), (4, 12.0)])
+def test_factored_knn_solve_holds_one_stack(restarts, bound):
+    # the traced peak of a factored n = 400 kNN solve, in n x m arrays: the
+    # stack being swept, the best restart's quadruple (once restarts > 1)
+    # and a few temporaries, but no other start
+    n = 400
+    rng = np.random.default_rng(0)
+    nx, ny = (validate_network(np.full(n, 1.0 / n), _knn_adjacency(rng, n, 4))
+              for _ in range(2))
+    cfg = SolverConfig(kernel=make_kernel("exp", 0.5), restarts=restarts, max_iters=5,
+                       rel_tol=0.0, tensor_policy=TensorPolicy(max_dense_bytes=16 * n * n))
+    from scipy import sparse  # noqa: F401 -- loaded before tracing, as a solve would
+    tracemalloc.start()
+    try:
+        _, report = cgw_solve(nx, ny, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r["sweeps"] for r in report.restarts] == [5] * restarts
+    assert peak <= bound * 8 * n * n

@@ -18,6 +18,7 @@ from conicot import (
     omega_eval,
     omega_of_gap,
     validate_hypernetwork,
+    validate_network,
 )
 from conicot.errors import DimensionMismatch, NegativeArgument, NonFinite
 from conicot.tensor import _omega_matrix, _quantize, _split_table
@@ -185,29 +186,72 @@ def test_policy_rejects_fewer_than_one_bin(bins):
         TensorPolicy(quantize_bins=bins)
 
 
-@pytest.mark.parametrize("kind", ["binary", "64 values", "continuous"])
-def test_quantize_matches_sort_and_search(rng, kind):
+def _assert_quantize_matches_sort_and_search(K, q):
     # bin ids, centres and half-widths equal the unique/searchsorted and
     # min/max equal-width reference bit for bit
+    centers, ids, half = _quantize(K, q)
+    distinct = np.unique(K.ravel())
+    if distinct.size <= q:
+        assert np.array_equal(centers, distinct)
+        assert np.array_equal(ids, np.searchsorted(distinct, K))
+        assert half == 0.0
+    else:
+        lo, hi = float(K.min()), float(K.max())
+        width = (hi - lo) / q
+        assert np.array_equal(ids, np.minimum(((K - lo) / width).astype(np.int64), q - 1))
+        assert np.array_equal(centers, lo + (np.arange(q) + 0.5) * width)
+        assert half == width / 2.0
+    assert ids.dtype == np.int64 and ids.shape == K.shape
+    assert centers.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["binary", "64 values", "continuous"])
+def test_quantize_matches_sort_and_search(rng, kind):
     if kind == "binary":
         K = (rng.uniform(size=(300, 300)) < 0.01).astype(float)
     elif kind == "64 values":
         K = rng.choice(rng.normal(size=64), size=(40, 30))
     else:
         K = rng.normal(size=(40, 30))
-    centers, ids, half = _quantize(K, 64)
-    distinct = np.unique(K.ravel())
-    if distinct.size <= 64:
-        assert np.array_equal(centers, distinct)
-        assert np.array_equal(ids, np.searchsorted(distinct, K))
-        assert half == 0.0
-    else:
-        lo, hi = float(K.min()), float(K.max())
-        width = (hi - lo) / 64
-        assert np.array_equal(ids, np.minimum(((K - lo) / width).astype(np.int64), 63))
-        assert np.array_equal(centers, lo + (np.arange(64) + 0.5) * width)
-        assert half == width / 2.0
-    assert ids.dtype == np.int64 and ids.shape == K.shape
+    _assert_quantize_matches_sort_and_search(K, 64)
+
+
+@pytest.mark.parametrize("q", [1, 2, 64])
+@pytest.mark.parametrize("values", [(-0.7, 2.5), (0.0, 1.0), (0.3,)])
+def test_quantize_of_at_most_two_values_matches_sort_and_search(rng, values, q):
+    # two values take the path without a sort unless one bin must hold
+    # both; a constant kernel takes the sort
+    _assert_quantize_matches_sort_and_search(rng.choice(values, size=(40, 30)), q)
+
+
+def _sorted_quantize(values, q):
+    """_quantize's exact bins by np.unique and searchsorted alone."""
+    distinct = np.unique(values)
+    assert distinct.size <= q
+    return distinct, np.searchsorted(distinct, values).astype(np.int64), 0.0
+
+
+def test_binary_knn_factors_equal_those_of_sorted_bins(rng, monkeypatch):
+    # a factored kNN tensor is the same, array for array, whether its bins
+    # come from the two-value path or from the sort
+    k = make_kernel("exp", 0.5)
+    policy = TensorPolicy(max_dense_bytes=1 << 20)
+    for n in (120, 150, 180):
+        hx, hy = (embed_network_as_hypernetwork(
+            validate_network(np.full(n, 1.0 / n), _knn_adjacency(rng, n, 4)))
+            for _ in range(2))
+        fast = build_tensor(hx, hy, k, policy)
+        with monkeypatch.context() as mp:
+            mp.setattr(conicot.tensor, "_quantize", _sorted_quantize)
+            ref = build_tensor(hx, hy, k, policy)
+        assert fast.background == ref.background
+        for name in ("x_values", "y_values", "omega_table", "quantization_error"):
+            assert np.array_equal(getattr(fast, name), getattr(ref, name))
+        for got, want in zip(fast.offsets + fast.factors, ref.offsets + ref.factors):
+            assert sparse.issparse(got) == sparse.issparse(want)
+            if sparse.issparse(got):
+                got, want = got.toarray(), want.toarray()
+            assert np.array_equal(got, want)
 
 
 def test_slice_sums(rng):

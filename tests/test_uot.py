@@ -231,7 +231,7 @@ def _uot_per_start(mu, nu, kernel, max_iters):
         A, B = _tight(A * (W > 0), m, 1), _tight(B * (W > 0), n, 0)
         trace = [float((W * np.sqrt(A * B)).sum())]
         for _ in range(max_iters):
-            A, B, F = update_block(B, W * W, m, n)
+            F = update_block(A, B, W * W, m, n)
             trace.append(float(F))
             if abs(trace[-1] - trace[-2]) <= REL_TOL * max(1.0, abs(trace[-2])):
                 break
@@ -268,3 +268,15 @@ def test_value_measure_freezes_its_arrays_in_place():
     mu = DiscreteValueMeasure(values, masses)
     assert mu.values is values and mu.masses is masses
     assert not values.flags.writeable and not masses.flags.writeable
+
+
+def test_uot_solve_leaves_its_inputs_as_they_are(rng):
+    # the pair steps update the stack in place; the measures, read-only and
+    # here one object on both sides, are unchanged, and a second solve
+    # repeats the first
+    mu = pushforward_value_distribution(random_network(rng, 5))
+    before = mu.values.copy(), mu.masses.copy()
+    first = uot_solve(mu, mu, make_kernel("exp", 0.5), max_iters=20)
+    assert np.array_equal(mu.values, before[0]) and np.array_equal(mu.masses, before[1])
+    again = uot_solve(mu, mu, make_kernel("exp", 0.5), max_iters=20)
+    assert first.objective_trace == again.objective_trace
