@@ -182,7 +182,8 @@ def _project_pair(A, B, live, row_target, col_target):
 
 def project_to_gamma_bar(quad: SemiCouplingQuadruple, live, marginals) -> SemiCouplingQuadruple:
     """Zero entries off live, the (n x m, n' x m') masks of nonvanishing Omega
-    slice sums, then rescale marginal sums tight.
+    slice sums (a mask True: every entry is live), then rescale marginal
+    sums tight.
 
     Surviving rows of A are rescaled to sum to a_i, columns of B to b_k, rows
     of A' to a'_j, columns of B' to b'_l. The objective never decreases: the
@@ -266,13 +267,21 @@ def _ascend(state, F, sweep, max_iters, rel_tol, blocks=None):
 
 
 def _inits(marginals, tensor, config):
-    """Yield every restart's start, projected to Gamma-bar by Omega-slice
-    masks computed once: the product one, config.restarts - 1 jittered
-    ones, then config.extra_inits. A start is made when it is taken, one
-    semi-coupling pair at a time. All zero when every slice sum vanishes:
-    the ascent then stops at F = 0."""
+    """Yield every restart's start, projected to Gamma-bar: the product one,
+    config.restarts - 1 jittered ones, then config.extra_inits. A start is
+    made when it is taken, one semi-coupling pair at a time. All zero when
+    every slice sum vanishes: the ascent then stops at F = 0.
+
+    The Omega-slice masks come from one tensor.slice_sums(), except for a
+    factored tensor whose Omega table has no zero: Omega >= 0, so every
+    entry of that tensor is positive and every slice is live. Its masks are
+    then True, and no fresh start is multiplied by them.
+    """
     a, b, ap, bp = marginals = tuple(np.asarray(v, dtype=np.float64) for v in marginals)
-    live = tuple(sums != 0.0 for sums in tensor.slice_sums())
+    if tensor.mode is TensorMode.Factored and tensor.omega_table.all():
+        live = (True, True)
+    else:
+        live = tuple(sums != 0.0 for sums in tensor.slice_sums())
     rng = np.random.default_rng(config.seed)
 
     def pair(row, col, mask, jitter):
@@ -280,7 +289,10 @@ def _inits(marginals, tensor, config):
         if jitter:
             for M in (A, B):
                 M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
-        return _project_pair(A, B, mask, row, col)
+        if mask is not True:
+            A *= mask
+            B *= mask
+        return _tight(A, row, 1), _tight(B, col, 0)
 
     for r in range(config.restarts):
         yield SemiCouplingQuadruple(*pair(a, b, live[0], r > 0), *pair(ap, bp, live[1], r > 0))
@@ -370,16 +382,28 @@ def _solve_group(hx, hy, config, kernels):
     n, np_, m, mp = tensors[0].dims
     block = n * np_ * m * mp if len(kernels) > 1 else max(n * m, np_ * mp, 1)
     per_stack = max(1, _BLOCK_ENTRIES // block)
-    # map holds no start once it is taken, as a generator's loop variable would
-    starts = itertools.chain.from_iterable(
-        map(lambda start, k=k: (k, start), _inits(marginals, t, config))
-        for k, t in enumerate(tensors))
+    per_kernel = config.restarts + len(config.extra_inits)
+
+    def taken(k, tensor):
+        """(k, start) for each of tensor's starts, as a map: it holds no
+        start once it is taken, as a generator's loop variable would. The
+        kernel's _inits is closed as its last start is taken, so its masks
+        go then and not with the group."""
+        inits = _inits(marginals, tensor, config)
+
+        def take(i):
+            start = next(inits)
+            if i == per_kernel - 1:
+                inits.close()
+            return k, start
+        return map(take, range(per_kernel))
+
+    starts = itertools.chain.from_iterable(taken(k, t) for k, t in enumerate(tensors))
 
     # a restart's quadruple is kept only while it is its kernel's best
     runs = [[] for _ in kernels]
     best = [None] * len(kernels)
-    n_starts = len(kernels) * (config.restarts + len(config.extra_inits))
-    for _ in range(0, n_starts, per_stack):
+    for _ in range(0, len(kernels) * per_kernel, per_stack):
         for k, quad, trace, stop in _run_stack(tensors, marginals, starts, per_stack, config):
             runs[k].append((None, trace, stop))
             if best[k] is None or trace[-1] > best[k][2]:

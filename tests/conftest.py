@@ -37,8 +37,8 @@ def tensor_oracle(hx, hy, kernel, bins=None):
     """
     if bins is None:
         return omega_of_gap(kernel, hx.kernel[:, :, None, None], hy.kernel[None, None])
-    xv, xid, _ = _quantize(hx.kernel, bins)
-    yv, yid, _ = _quantize(hy.kernel, bins)
+    xv, xid = _quantize(hx.kernel, bins)[:2]
+    yv, yid = _quantize(hy.kernel, bins)[:2]
     return omega_of_gap(kernel, xv[:, None], yv[None, :])[xid[:, :, None, None],
                                                         yid[None, None]]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 import weakref
 
@@ -23,6 +24,7 @@ from conicot import (
     uot_solve,
     validate_network,
 )
+import conicot.tensor
 from conicot import solver
 from conicot.errors import DimensionMismatch, NegativeArgument, NegativeSquaredDistance
 from conicot.solver import project_to_gamma_bar, update_block
@@ -743,3 +745,119 @@ def test_factored_knn_solve_holds_one_stack(restarts, bound):
         tracemalloc.stop()
     assert [r["sweeps"] for r in report.restarts] == [5] * restarts
     assert peak <= bound * 8 * n * n
+
+
+def _knn_pair(rng, n):
+    return tuple(validate_network(np.full(n, 1.0 / n), _knn_adjacency(rng, n, 4))
+                 for _ in range(2))
+
+
+def _counting(monkeypatch, module, name, calls, label):
+    """Count the calls of module.name in calls[label]."""
+    inner = getattr(module, name)
+    calls[label] = 0
+
+    def counted(*args, **kwargs):
+        calls[label] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("family, delta, slice_sums", [("exp", 0.5, 0), ("cos", 0.3, 1)])
+def test_factored_solve_takes_slice_sums_only_when_its_table_has_a_zero(
+        rng, monkeypatch, family, delta, slice_sums):
+    # a binary kNN pair: exp at delta 0.5 gives an all-positive 2 x 2 Omega
+    # table, so every slice is live and the solve contracts only in its
+    # objective and sweeps; cos at delta 0.3 gives [[1, 0], [0, 1]], and the
+    # masks still come from one slice_sums
+    nx, ny = _knn_pair(rng, 40)
+    cfg = SolverConfig(kernel=make_kernel(family, delta), restarts=3, max_iters=4,
+                       rel_tol=0.0, tensor_policy=TensorPolicy(max_dense_bytes=1024))
+    table = build_tensor(embed_network_as_hypernetwork(nx), embed_network_as_hypernetwork(ny),
+                         cfg.kernel, cfg.tensor_policy).omega_table
+    assert table.all() == (slice_sums == 0)
+    calls = {}
+    _counting(monkeypatch, DistortionTensor, "slice_sums", calls, "slice_sums")
+    for module in (solver, conicot.tensor):  # the solver's and slice_sums' binding
+        _counting(monkeypatch, module, "contract", calls, module.__name__)
+    _, report = cgw_solve(nx, ny, cfg)
+    assert [r["sweeps"] for r in report.restarts] == [4] * 3
+    assert calls["slice_sums"] == slice_sums
+    assert calls["conicot.solver"] == 1 + 2 * cfg.max_iters  # one stack of 3 restarts
+    assert calls["conicot.tensor"] == 2 * slice_sums
+
+
+def _masked_starts(marginals, tensor, config):
+    """Every start as _inits made it with Omega-slice masks from slice_sums
+    alone: product and jittered pairs, each zeroed off its mask and made
+    tight, then the extra starts."""
+    live = _live(tensor)
+    rng = np.random.default_rng(config.seed)
+    for r in range(config.restarts):
+        blocks = []
+        for row, col in (marginals[:2], marginals[2:]):
+            A, B = solver._product_pair(np.asarray(row), np.asarray(col))
+            if r > 0:
+                for M in (A, B):
+                    M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
+            blocks += [A, B]
+        yield project_to_gamma_bar(SemiCouplingQuadruple(*blocks), live, marginals)
+    for extra in config.extra_inits:
+        yield project_to_gamma_bar(extra, live, marginals)
+
+
+@pytest.mark.parametrize("family, delta, kind", [
+    ("exp", 0.5, "binary"), ("exp", 0.5, "quantized"), ("cos", 0.1, "quantized"),
+    ("cos", 1.0, "vanishing")])
+def test_starts_equal_those_projected_with_slice_sum_masks(rng, family, delta, kind):
+    # with or without a zero in the factored Omega table, every start is bit
+    # for bit the one that masks from slice_sums() != 0 give; in the last
+    # case node 0's sample-side slices vanish
+    if kind == "binary":
+        hx, hy = (embed_network_as_hypernetwork(net) for net in _knn_pair(rng, 30))
+    elif kind == "quantized":
+        hx, hy = random_hypernetwork(rng, 9, 7), random_hypernetwork(rng, 8, 6)
+    else:
+        hx = embed_network_as_hypernetwork(_far_node_network(rng, 9))
+        hy = random_hypernetwork(rng, 8, 8)
+    shapes = 2 * [(hx.n_samples, hy.n_samples)] + 2 * [(hx.n_features, hy.n_features)]
+    extra = SemiCouplingQuadruple(*(rng.uniform(0.0, 1.0, shape) for shape in shapes))
+    cfg = SolverConfig(kernel=make_kernel(family, delta), restarts=3, extra_inits=[extra])
+    tensor = build_tensor(hx, hy, cfg.kernel, TensorPolicy(max_dense_bytes=1024))
+    assert tensor.mode is TensorMode.Factored
+    assert tensor.omega_table.all() == (family == "exp")
+    if kind == "vanishing":
+        assert not _live(tensor)[0].all()
+    marginals = (hx.sample_weights, hy.sample_weights, hx.feature_weights, hy.feature_weights)
+    got = list(solver._inits(marginals, tensor, cfg))
+    want = list(_masked_starts(marginals, tensor, cfg))
+    assert len(got) == len(want) == cfg.restarts + len(cfg.extra_inits)
+    for g, w in zip(got, want):
+        for name in ("A", "B", "Ap", "Bp"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+
+
+@pytest.mark.parametrize("family, delta", [("cos", 0.3), ("exp", 0.5)])
+def test_each_kernels_inits_are_closed_once_its_starts_are_taken(rng, monkeypatch,
+                                                                family, delta):
+    # n m = 40000 entries: one start per stack. _inits is suspended while
+    # the first stack sweeps, and closed, with the Omega-slice masks that
+    # cos forms, once the second and last start is taken
+    gens, states = [], []
+
+    def recording(*args):
+        gens.append(inits(*args))
+        return gens[-1]
+
+    def ascending(*args):
+        states.append([inspect.getgeneratorstate(g) for g in gens])
+        return ascend(*args)
+
+    inits, ascend = solver._inits, solver._ascend
+    monkeypatch.setattr(solver, "_inits", recording)
+    monkeypatch.setattr(solver, "_ascend", ascending)
+    nx, ny = _knn_pair(rng, 200)
+    cfg = SolverConfig(kernel=make_kernel(family, delta), restarts=2, max_iters=2,
+                       tensor_policy=TensorPolicy(max_dense_bytes=16 * 200 * 200))
+    cgw_solve(nx, ny, cfg)
+    assert states == [[inspect.GEN_SUSPENDED], [inspect.GEN_CLOSED]]

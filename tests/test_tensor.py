@@ -188,8 +188,9 @@ def test_policy_rejects_fewer_than_one_bin(bins):
 
 def _assert_quantize_matches_sort_and_search(K, q):
     # bin ids, centres and half-widths equal the unique/searchsorted and
-    # min/max equal-width reference bit for bit
-    centers, ids, half = _quantize(K, q)
+    # min/max equal-width reference bit for bit; the counts are the ids'
+    # bincount, and the ids have the narrowest unsigned dtype of their bins
+    centers, ids, counts, half = _quantize(K, q)
     distinct = np.unique(K.ravel())
     if distinct.size <= q:
         assert np.array_equal(centers, distinct)
@@ -201,7 +202,8 @@ def _assert_quantize_matches_sort_and_search(K, q):
         assert np.array_equal(ids, np.minimum(((K - lo) / width).astype(np.int64), q - 1))
         assert np.array_equal(centers, lo + (np.arange(q) + 0.5) * width)
         assert half == width / 2.0
-    assert ids.dtype == np.int64 and ids.shape == K.shape
+    assert ids.dtype == np.min_scalar_type(len(centers) - 1) and ids.shape == K.shape
+    assert np.array_equal(counts, np.bincount(ids.ravel(), minlength=len(centers)))
     assert centers.dtype == np.float64
 
 
@@ -224,11 +226,31 @@ def test_quantize_of_at_most_two_values_matches_sort_and_search(rng, values, q):
     _assert_quantize_matches_sort_and_search(rng.choice(values, size=(40, 30)), q)
 
 
+@pytest.mark.parametrize("kind, q, dtype", [
+    ("binary", 64, np.uint8), ("binary", 1000, np.uint8),
+    ("64 values", 64, np.uint8), ("300 values", 1000, np.uint16),
+    ("continuous", 64, np.uint8), ("continuous", 300, np.uint16),
+])
+def test_quantize_ids_take_the_narrowest_dtype(rng, kind, q, dtype):
+    # at most 256 bins take 1-byte ids, on each of the three paths; a binary
+    # kernel's ids stay 1 byte however many bins the policy allows
+    if kind == "binary":
+        K = (rng.uniform(size=(300, 300)) < 0.01).astype(float)
+    elif kind == "continuous":
+        K = rng.normal(size=(40, 30))
+    else:
+        K = rng.choice(rng.normal(size=int(kind.split()[0])), size=(60, 50))
+    _assert_quantize_matches_sort_and_search(K, q)
+    assert _quantize(K, q)[1].dtype == dtype
+
+
 def _sorted_quantize(values, q):
-    """_quantize's exact bins by np.unique and searchsorted alone."""
+    """_quantize's exact bins by np.unique and searchsorted alone, with int64
+    ids and their bincount."""
     distinct = np.unique(values)
     assert distinct.size <= q
-    return distinct, np.searchsorted(distinct, values).astype(np.int64), 0.0
+    ids = np.searchsorted(distinct, values).astype(np.int64)
+    return distinct, ids, np.bincount(ids.ravel(), minlength=distinct.size), 0.0
 
 
 def test_binary_knn_factors_equal_those_of_sorted_bins(rng, monkeypatch):
@@ -357,7 +379,7 @@ def test_factored_sparse_knn_matches_bin_pair_sum(rng):
                      TensorPolicy(max_dense_bytes=16 * 300 * 300))
     assert t.mode is TensorMode.Factored
     assert all(sparse.issparse(f) for f in (*t.offsets, *t.factors))
-    (xv, xid, _), (yv, yid, _) = _quantize(kx, 64), _quantize(ky, 64)
+    (xv, xid), (yv, yid) = _quantize(kx, 64)[:2], _quantize(ky, 64)[:2]
     X = [(xid == u).astype(float) for u in range(xv.size)]
     Y = [(yid == v).astype(float) for v in range(yv.size)]
     table = omega_of_gap(k, xv[:, None], yv[None, :])
@@ -428,7 +450,7 @@ def test_factored_build_peak_is_bounded_by_stored_factors():
     assert peak <= 2.5 * stored
     # the factors by their definition, over the y-bins that occur with a
     # nonzero gamma column
-    (xv, xid, _), (yv, yid, _) = _quantize(hx.kernel, 64), _quantize(hy.kernel, 64)
+    (xv, xid), (yv, yid) = _quantize(hx.kernel, 64)[:2], _quantize(hy.kernel, 64)[:2]
     gamma = _split_table(omega_of_gap(k, xv[:, None], yv[None, :]), *t.background)[2]
     bins = np.flatnonzero(np.isin(np.arange(yv.size), yid) & gamma.any(axis=0))
     C = bins.size
