@@ -3,7 +3,8 @@
 Results go to standard output as JSON (CSV for bench), diagnostics to the
 error stream. Every run writes a run_manifest.json next to --output (or in
 the working directory) recording the command, arguments, seed, configuration,
-input hashes, and wall time. Exit codes: 0 success, 1 validation error,
+input hashes, and wall time; a solve's also holds its restarts and the best
+restart's objective trace. Exit codes: 0 success, 1 validation error,
 2 verification assertion failure. Each command, and each verify probe, is one
 entry of the command table: its inputs, its flags, and the function that makes
 its result.
@@ -44,7 +45,7 @@ from .data import (
     knn_classify,
 )
 from .errors import ConicotError
-from .solver import SolverConfig, bca_solve, cgw_solve
+from .solver import SolverConfig, SolverReport, bca_solve, cgw_solve
 from .tensor import TensorPolicy
 from .uot import cgw_lower_bound
 
@@ -59,8 +60,6 @@ _OPTIONS = {
     "quantize": dict(default="64",
                      help="number of value bins for the factored path, or 'off' "
                           "to force dense storage"),
-    "trace": dict(default=None,
-                  help="write the objective trace and the final Frobenius gap to this file"),
     # the verify probes' own flags
     "r": dict(type=float, default=2.0),
     "s": dict(type=float, default=1.0),
@@ -114,15 +113,6 @@ def _load_networks(paths):
     return nets
 
 
-def _solved(args, report):
-    """The solve report as JSON, after writing --trace."""
-    if args.trace:
-        with open(args.trace, "w") as f:
-            json.dump({"objective_trace": report.objective_trace,
-                       "frobenius_gap": report.frobenius_gap}, f)
-    return report.to_json_dict()
-
-
 def _probe_args(args, *flags):
     """A verify probe's arguments: its input networks, its flags and its solve
     config, which is checked before the networks are read."""
@@ -134,14 +124,7 @@ def _delta_sweep(args):
     nets = _load_networks(args.inputs)
     deltas = [float(x) for x in args.deltas.split(",")]
     # every row sets its own delta; the first stands in for the config's
-    table = delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("delta,cgw,reference,rel_gap,sweeps,stop\n")
-            for row in table["rows"]:
-                f.write("{delta},{cgw},{reference},{rel_gap},{sweeps},{stop}\n"
-                        .format(**row))
-    return table
+    return delta_sweep(nets[0], nets[1], deltas, _config(args, deltas[0]))
 
 
 def _gen_squares(args):
@@ -208,21 +191,19 @@ def bench_runner(args):
 # Each command, and under "verify" each probe: the number of input files it
 # reads; its flags, each a name in _OPTIONS or a (name, argparse spec) pair
 # of its own (every command also takes --output); and the function of the
-# parsed arguments that makes its result, a dict or, for bench, CSV text.
+# parsed arguments that makes its result: a solve command's SolverReport, a
+# dict, or for bench CSV text.
 _COMMANDS = {
-    "ccot": (2, (*_SOLVE, "trace"),
-             lambda a: _solved(a, bca_solve(*_load_two_hyper(a.inputs), _config(a))[2])),
-    "cgw": (2, (*_SOLVE, "trace"),
-            lambda a: _solved(a, cgw_solve(*_load_networks(a.inputs), _config(a))[1])),
+    "ccot": (2, _SOLVE, lambda a: bca_solve(*_load_two_hyper(a.inputs), _config(a))[2]),
+    "cgw": (2, _SOLVE, lambda a: cgw_solve(*_load_networks(a.inputs), _config(a))[1]),
     "gw2": (2, ("max-iters", "restarts", "seed"), lambda a: gw2_solve(
         *_load_networks(a.inputs), BaselineConfig(
-            seed=a.seed, restarts=a.restarts, max_iters=a.max_iters))[-1].to_json_dict()),
+            seed=a.seed, restarts=a.restarts, max_iters=a.max_iters))[-1]),
     "cot": (2, ("max-iters",), lambda a: cot_solve(
-        *_load_two_hyper(a.inputs), BaselineConfig(max_iters=a.max_iters))[-1].to_json_dict()),
+        *_load_two_hyper(a.inputs), BaselineConfig(max_iters=a.max_iters))[-1]),
     "uot-bound": (2, ("delta", "kernel", "max-iters"), lambda a: cgw_lower_bound(
-        *_load_networks(a.inputs), make_kernel(a.kernel, a.delta), a.max_iters).to_json_dict()),
+        *_load_networks(a.inputs), make_kernel(a.kernel, a.delta), a.max_iters)),
     "delta-sweep": (2, (("deltas", dict(default="0.5,1,2,4,8,16,32")),
-                        ("csv", dict(default=None)),
                         *(o for o in _SOLVE if o != "delta")), _delta_sweep),
     "verify": {
         "scaling": (1, ("r", "s", *_SOLVE), lambda a: verify_scaling(*_probe_args(a, a.r, a.s))),
@@ -237,7 +218,7 @@ _COMMANDS = {
                         ("dir", dict(default=".")), "seed"), _gen_squares),
     "img2net": (1, (("n-sample", dict(type=int, default=60)), ("knn", dict(type=int, default=4)),
                     "seed"),
-                lambda a: image_to_network(np.loadtxt(a.inputs[0], delimiter=","),
+                lambda a: image_to_network(np.loadtxt(a.inputs[0], delimiter=",", ndmin=2),
                                            n_sample=a.n_sample, knn=a.knn,
                                            seed=a.seed).to_json_dict()),
     "gen-aligned": (0, (("cells", dict(type=int, default=500)),
@@ -279,7 +260,7 @@ def build_parser():
     return ap
 
 
-def _write_manifest(args, argv, t0, result):
+def _write_manifest(args, argv, t0, report):
     # the positional input files, and classify's two
     inputs = [*getattr(args, "inputs", []),
               *(getattr(args, k) for k in ("features", "labels") if hasattr(args, k))]
@@ -293,8 +274,9 @@ def _write_manifest(args, argv, t0, result):
         "input_hashes": {p: _hash_file(p) for p in inputs if os.path.exists(p)},
         "wall_time": time.perf_counter() - t0,
     }
-    if isinstance(result, dict) and "restarts" in result:  # the solve commands
-        manifest["restarts"] = result["restarts"]
+    if report is not None:  # the solve commands
+        manifest["restarts"] = report.restarts
+        manifest["objective_trace"] = report.objective_trace
     out_dir = os.path.dirname(args.output) if args.output else "."
     path = os.path.join(out_dir or ".", "run_manifest.json")
     with open(path, "w") as f:
@@ -316,8 +298,9 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.run(args)
-        _emit(args, result)
-        _write_manifest(args, list(argv), t0, result)
+        report = result if isinstance(result, SolverReport) else None
+        _emit(args, result if report is None else report.to_json_dict())
+        _write_manifest(args, list(argv), t0, report)
     except ConicotError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 1

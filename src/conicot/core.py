@@ -22,8 +22,16 @@ from .errors import (
 )
 
 
+def _float64(a, name):
+    """a as a float64 array, or a ValueError naming the field if it is not numbers."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name} must hold numbers: {e}") from None
+
+
 def _check_weights(w, name="weights"):
-    w = np.asarray(w, dtype=np.float64)
+    w = _float64(w, name)
     if w.ndim != 1:
         raise NonSquareKernel(f"{name} must be a vector")
     if w.size == 0:
@@ -43,7 +51,7 @@ def _check_kernel_entries(k):
 
 
 def _check_kernel(k, shape, expected):
-    k = np.asarray(k, dtype=np.float64)
+    k = _float64(k, "kernel")
     if k.shape != shape:
         raise NonSquareKernel(f"kernel shape {k.shape} incompatible with {expected}")
     _check_kernel_entries(k)
@@ -72,7 +80,7 @@ class DiscreteMeasureNetwork:
         n = w.shape[0]
         _store(self, weights=w, kernel=_check_kernel(self.kernel, (n, n), f"{n} weights"))
         if self.points is not None:
-            _store(self, points=self.points)
+            _store(self, points=_float64(self.points, "points"))
             if self.points.ndim != 2 or self.points.shape[0] != n:
                 raise NonSquareKernel("points must be an n x d matrix")
 
@@ -147,7 +155,7 @@ class DiscreteValueMeasure:
 
     def __post_init__(self):
         m = _check_weights(self.masses, "masses")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _float64(self.values, "values")
         if v.shape != m.shape:
             raise LengthMismatch(f"values of shape {v.shape} for masses of shape {m.shape}")
         _check_kernel_entries(v)

@@ -73,6 +73,8 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     check_count("knn", knn, 1)
     check_count("seed", seed, 0)
     image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"an image must be 2-D, not of shape {image.shape}")
     coords = np.argwhere(np.ones_like(image, dtype=bool)).astype(np.float64)
     total = coords.shape[0]
     if n_sample > total:

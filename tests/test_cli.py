@@ -62,16 +62,16 @@ def test_ccot_accepts_networks_and_writes_output(tmp_path, net_files, capsys,
     assert json.loads(out_file.read_text())["distance"] >= 0
 
 
-def test_cgw_trace_holds_objective_trace_and_final_gap(tmp_path, net_files, capsys,
-                                                      monkeypatch):
-    code, out, _ = _run_in(tmp_path, ["cgw", *net_files, "--trace", "t.json"],
-                           capsys, monkeypatch)
+@pytest.mark.parametrize("cmd", ["cgw", "ccot", "gw2", "cot", "uot-bound"])
+def test_solve_manifest_holds_the_objective_trace(tmp_path, net_files, cmd, capsys,
+                                                  monkeypatch):
+    code, out, _ = _run_in(tmp_path, [cmd, *net_files], capsys, monkeypatch)
     assert code == 0
     payload = json.loads(out)
-    trace = json.loads((tmp_path / "t.json").read_text())
-    assert set(trace) == {"objective_trace", "frobenius_gap"}
-    assert len(trace["objective_trace"]) == payload["iterations"] + 1
-    assert trace["frobenius_gap"] == payload["frobenius_gap"]
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert len(manifest["objective_trace"]) == payload["iterations"] + 1
+    assert manifest["objective_trace"][-1] == payload["objective"]
+    assert manifest["restarts"] == payload["restarts"]
 
 
 def test_gw2_cot_uot_commands(tmp_path, net_files, capsys, monkeypatch):
@@ -108,7 +108,13 @@ def test_invalid_network_exits_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("content, message", [
     ({"type": "measure_network", "weights": [1.0]}, "has no field 'kernel'"),
-    ([1, 2], "holds a JSON list, not an object")])
+    ([1, 2], "holds a JSON list, not an object"),
+    ({"type": "measure_network", "weights": {"a": 1}, "kernel": [[0.0]]},
+     "weights must hold numbers"),
+    ({"type": "measure_network", "weights": [1.0], "kernel": {"a": 1}},
+     "kernel must hold numbers"),
+    ({"type": "measure_network", "weights": [1.0], "kernel": [[0.0]], "points": {"a": 1}},
+     "points must hold numbers")])
 def test_malformed_input_file_exits_one(tmp_path, content, message, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
@@ -164,20 +170,18 @@ def test_verify_failure_exits_two(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["command"] == "verify"
     assert manifest["config"] == {"eps": 0.1, "f_eps": 1.0, "output": None}
-    assert "restarts" not in manifest
+    assert "restarts" not in manifest and "objective_trace" not in manifest
 
 
 def test_delta_sweep_command(tmp_path, net_files, capsys, monkeypatch):
-    csv = tmp_path / "sweep.csv"
-    code, out, _ = _run_in(
-        tmp_path, ["delta-sweep", *net_files, "--deltas", "1,4",
-                   "--csv", str(csv)], capsys, monkeypatch)
+    code, out, _ = _run_in(tmp_path, ["delta-sweep", *net_files, "--deltas", "1,4"],
+                           capsys, monkeypatch)
     assert code == 0
-    assert len(json.loads(out)["rows"]) == 2
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "delta,cgw,reference,rel_gap,sweeps,stop"
-    assert len(lines) == 3
-    assert all(line.split(",")[-1] in ("rel_tol", "max_iters") for line in lines[1:])
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert set(row) == {"delta", "cgw", "reference", "rel_gap", "sweeps", "stop"}
+        assert row["stop"] in ("rel_tol", "max_iters")
 
 
 def test_cgw_rejects_zero_restarts(tmp_path, net_files, capsys, monkeypatch):
@@ -278,6 +282,16 @@ def test_gen_squares_img2net_roundtrip(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["type"] == "measure_network"
     assert len(payload["weights"]) == 20
+
+
+@pytest.mark.parametrize("text", ["1,2,3,4,5,6\n", "1\n2\n3\n4\n5\n6\n"],
+                         ids=["one-row", "one-column"])
+def test_img2net_reads_a_one_row_or_one_column_image(tmp_path, text, capsys, monkeypatch):
+    (tmp_path / "line.csv").write_text(text)
+    code, out, _ = _run_in(tmp_path, ["img2net", "line.csv", "--n-sample", "3", "--knn", "1"],
+                           capsys, monkeypatch)
+    assert code == 0
+    assert len(json.loads(out)["weights"]) == 3
 
 
 def test_gen_aligned_command(tmp_path, capsys, monkeypatch):
@@ -406,10 +420,14 @@ def test_ccot_and_cot_read_hypernetworks(tmp_path, hyper_files, capsys, monkeypa
     ["verify", "scaling"],
     ["delta-sweep", "a.json", "b.json", "--delta", "3"],
     ["bench", "--quantize", "2"],
+    ["cgw", "a.json", "b.json", "--trace", "t.json"],
+    ["ccot", "a.json", "b.json", "--trace", "t.json"],
+    ["delta-sweep", "a.json", "b.json", "--csv", "s.csv"],
 ], ids=["gw2-kernel", "cot-seed", "uot-bound-tol", "delta-sweep-trace",
         "gen-squares-tol", "bench-restarts", "verify-fragility-kernel",
         "verify-scaling-trials", "verify-fragility-input", "verify-bounds-one-input",
-        "verify-scaling-no-input", "delta-sweep-delta-prefix", "bench-quantize"])
+        "verify-scaling-no-input", "delta-sweep-delta-prefix", "bench-quantize",
+        "cgw-trace", "ccot-trace", "delta-sweep-csv"])
 def test_unread_flag_rejected(tmp_path, argv, capsys, monkeypatch):
     # a subcommand declares only the flags it reads
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 from conicot import (
     DiscreteMeasureHypernetwork,
     DiscreteMeasureNetwork,
+    DiscreteValueMeasure,
     SolverConfig,
     bca_solve,
     cgw_lower_bound,
@@ -51,6 +52,19 @@ def test_validate_network_rejects_negative_weight():
     with pytest.raises(NegativeWeight) as exc:
         validate_network([0.5, -0.1], np.zeros((2, 2)))
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("field, make", [
+    ("weights", lambda obj: validate_network(obj, np.zeros((1, 1)))),
+    ("kernel", lambda obj: validate_network([1.0], obj)),
+    ("points", lambda obj: validate_network([1.0], np.zeros((1, 1)), points=obj)),
+    ("sample_weights", lambda obj: validate_hypernetwork(obj, [1.0], np.zeros((1, 1)))),
+    ("values", lambda obj: DiscreteValueMeasure(obj, np.ones(1))),
+])
+def test_a_field_that_is_not_numbers_raises_value_error_naming_it(field, make):
+    # a JSON object where numbers belong: numpy raises TypeError on its own
+    with pytest.raises(ValueError, match=f"^{field} must hold numbers"):
+        make({"a": 1})
 
 
 def test_validate_network_rejects_nonfinite():

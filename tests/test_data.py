@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ def test_image_to_network_argument_checks():
         image_to_network(img, n_sample=17, knn=2)
     with pytest.raises(ValueError):
         image_to_network(img, n_sample=4, knn=4)
+
+
+@pytest.mark.parametrize("image", [np.ones(6), np.ones((2, 3, 2)), np.float64(1.0)],
+                         ids=["1-D", "3-D", "0-D"])
+def test_image_to_network_rejects_an_image_that_is_not_2d(image):
+    with pytest.raises(ValueError, match=re.escape(f"not of shape {image.shape}")):
+        image_to_network(image, n_sample=2, knn=1)
 
 
 @pytest.mark.parametrize("n_sample, knn, name", [(10, 0, "knn"), (10, -1, "knn"),

@@ -15,12 +15,12 @@ SOLVE = ["--delta", "--kernel", "--max-iters", "--output", "--quantize",
          "--restarts", "--seed", "--tol"]
 
 CLI_OPTIONS = {
-    "ccot": sorted(SOLVE + ["--trace"]),
-    "cgw": sorted(SOLVE + ["--trace"]),
+    "ccot": SOLVE,
+    "cgw": SOLVE,
     "gw2": ["--max-iters", "--output", "--restarts", "--seed"],
     "cot": ["--max-iters", "--output"],
     "uot-bound": ["--delta", "--kernel", "--max-iters", "--output"],
-    "delta-sweep": ["--csv", "--deltas", "--kernel", "--max-iters", "--output",
+    "delta-sweep": ["--deltas", "--kernel", "--max-iters", "--output",
                     "--quantize", "--restarts", "--seed", "--tol"],
     "verify": [],
     "verify scaling": sorted(SOLVE + ["--r", "--s"]),
