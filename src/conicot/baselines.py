@@ -197,16 +197,20 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
     cost_s = _gw_linear_term(wx, wy, pi_f)  # the sample-side cost at pi_f
-    trace, stop = [float((cost_s * pi_s).sum())], "max_iters"
-    for _ in range(config.max_iters):
-        pi_s = ot_exact(a, b, cost_s)[0]
+    s = types.SimpleNamespace(pi_s=pi_s[None], pi_f=pi_f[None], cost_s=cost_s[None],
+                              obj=np.array([float((cost_s * pi_s).sum())]))
+
+    def sweep(s):
+        pi_s = ot_exact(a, b, s.cost_s[0])[0]
         pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0]
         cost_s = _gw_linear_term(wx, wy, pi_f)
-        obj, new_obj = trace[-1], float((cost_s * pi_s).sum())
-        trace.append(min(obj, new_obj))  # new_obj but where the loop stops
-        if obj - new_obj <= config.tol * max(1.0, abs(obj)):
-            stop = "rel_tol"
-            break
+        # an alternation that raises the objective counts as no decrease, so it stops
+        obj = min(float(s.obj[0]), float((cost_s * pi_s).sum()))
+        s.pi_s, s.pi_f, s.cost_s, s.obj = pi_s[None], pi_f[None], cost_s[None], np.array([obj])
+        return s.obj
+
+    runs = _ascend(s, s.obj, sweep, config.max_iters, config.tol)
+    [(final, trace, _)] = runs
     value = 0.5 * float(np.sqrt(max(trace[-1], 0.0)))
-    return value, pi_s, pi_f, _report([(None, trace, stop)], 0, value,
-                                      {"max_iters": config.max_iters, "tol": config.tol}, t0)
+    return value, final.pi_s, final.pi_f, _report(
+        runs, 0, value, {"max_iters": config.max_iters, "tol": config.tol}, t0)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DiscreteMeasureNetwork, validate_hypernetwork, validate_network
+from .core import (DiscreteMeasureNetwork, _check_kernel_entries, validate_hypernetwork,
+                   validate_network)
 from .errors import (
     DegenerateSplit,
     EmptyCorrespondence,
     InsufficientMass,
     LengthMismatch,
+    NegativeWeight,
     PlacementFailure,
     check_count,
 )
@@ -67,7 +69,8 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     image, and drawn again while every drawn pixel is dark (SAMPLE_DRAWS draws
     at most); weights are the sampled intensities normalized to unit mass;
     omega_ij = 1 iff pixel j is among the knn nearest (Euclidean) pixels of
-    pixel i, ties broken by sample index.
+    pixel i, ties broken by sample index. Every pixel must be finite
+    (NonFiniteEntry) and nonnegative (NegativeWeight), drawn or not.
     """
     check_count("n_sample", n_sample, 1)
     check_count("knn", knn, 1)
@@ -75,6 +78,9 @@ def image_to_network(image, n_sample: int, knn: int, seed: int = 0) -> DiscreteM
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"an image must be 2-D, not of shape {image.shape}")
+    _check_kernel_entries(image)
+    if (image < 0).any():
+        raise NegativeWeight(tuple(int(v) for v in np.argwhere(image < 0)[0]))
     coords = np.argwhere(np.ones_like(image, dtype=bool)).astype(np.float64)
     total = coords.shape[0]
     if n_sample > total:
@@ -189,12 +195,16 @@ def knn_classify(features, labels, k: int, label_rate: float, trials: int,
     """Majority-vote kNN test error over repeated stratified splits.
 
     Returns (mean error, std error) over trials. Euclidean metric on the
-    feature rows; vote ties resolved toward the smaller label.
+    feature rows, which must be finite (NonFiniteEntry); vote ties resolved
+    toward the smaller label.
     """
     check_count("k", k, 1)
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
+    if not 0 < label_rate < 1:  # NaN fails too
+        raise DegenerateSplit(f"label_rate {label_rate} leaves no train or test items")
     features = np.asarray(features, dtype=np.float64)
+    _check_kernel_entries(features)
     labels = np.asarray(labels)
     if features.shape[0] != labels.size:
         raise LengthMismatch(f"{features.shape[0]} feature rows for {labels.size} labels")

@@ -17,7 +17,6 @@ import dataclasses
 import itertools
 import math
 import time
-import types
 
 import numpy as np
 
@@ -120,16 +119,18 @@ def _report(runs, best, value, config, t0, **fields) -> SolverReport:
         **fields)
 
 
-def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor) -> float:
-    """F = Sigma_ik sqrt(A_ik B_ik) P_ik with P the sample-side contraction."""
+def objective_F(quad: SemiCouplingQuadruple, tensor: DistortionTensor):
+    """F = Sigma_ik sqrt(A_ik B_ik) P_ik with P the sample-side contraction, a
+    float; for a stack of quadruples (blocks with a leading restart axis),
+    one F per slice. sqrt(A B) is multiplied into P's own array."""
     n, np_, m, mp = tensor.dims
-    if quad.A.shape != (n, m) or quad.Ap.shape != (np_, mp):
+    if quad.A.shape[-2:] != (n, m) or quad.Ap.shape[-2:] != (np_, mp):
         raise DimensionMismatch(
             f"quad shapes {quad.A.shape}/{quad.Ap.shape} vs tensor dims {tensor.dims}"
         )
-    Mp = np.sqrt(quad.Ap * quad.Bp)
-    P = contract(tensor, Side.SampleSide, Mp)
-    return float((np.sqrt(quad.A * quad.B) * P).sum())
+    P = contract(tensor, Side.SampleSide, _root_product(quad.Ap, quad.Bp))
+    P *= _root_product(quad.A, quad.B)
+    return _totals(P) if P.ndim == 3 else float(P.sum())
 
 
 # squared distances this far below zero, relative to the mass term, are round-off
@@ -301,13 +302,13 @@ def _inits(marginals, tensor, config):
 
 
 def _stack(starts):
-    """The starts' blocks A, B, A', B' with a leading restart axis.
+    """The starts as one quadruple whose blocks carry a leading restart axis.
 
     A lone start is its own stack: a copy would hold a large start twice at
     the memory peak. Stacks of more starts are cache-sized.
     """
     blocks = {name: [getattr(q, name) for q in starts] for name in ("A", "B", "Ap", "Bp")}
-    return types.SimpleNamespace(
+    return SemiCouplingQuadruple(
         **{name: np.stack(b) if len(b) > 1 else b[0][None] for name, b in blocks.items()})
 
 
@@ -341,10 +342,7 @@ def _run_stack(tensors, marginals, starts, size, config):
     def tensor_of(s):
         return DistortionTensor(TensorMode.Dense, tensor.dims, s.matrix) if mixed else tensor
 
-    P = contract(tensor_of(s), Side.SampleSide, _root_product(s.Ap, s.Bp))
-    P *= _root_product(s.A, s.B)
-    F = _totals(P)
-    del P
+    F = objective_F(s, tensor_of(s))
 
     def sweep(s):
         T = tensor_of(s)
@@ -352,9 +350,8 @@ def _run_stack(tensors, marginals, starts, size, config):
         return update_block(s.Ap, s.Bp, _squared_contraction(T, Side.FeatureSide, s.A, s.B),
                             ap, bp)
 
-    return [(k, SemiCouplingQuadruple(r.A, r.B, r.Ap, r.Bp), trace, stop)
-            for k, (r, trace, stop) in zip(kernels, _ascend(
-                s, F, sweep, config.max_iters, config.rel_tol, ("A", "B", "Ap", "Bp")))]
+    return [(k, *run) for k, run in zip(kernels, _ascend(
+        s, F, sweep, config.max_iters, config.rel_tol, ("A", "B", "Ap", "Bp")))]
 
 
 def _squared_contraction(tensor, side, X, Y):

@@ -180,6 +180,49 @@ def test_gw2_lockstep_equals_per_restart_loop(n, m, cap, restarts, monkeypatch):
         assert np.abs(coupling - finals[best]).max() <= 1e-12
 
 
+def _cot_alternation_loop(hx, hy, config):
+    """cot_solve as a hand-written alternation loop, with its own stop test:
+    (value, sample coupling, feature coupling, objective trace, stop)."""
+    a, b = hx.sample_weights, hy.sample_weights
+    ap, bp = hx.feature_weights, hy.feature_weights
+    wx, wy = hx.kernel, hy.kernel
+    pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
+    pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
+    cost_s = _gw_linear_term(wx, wy, pi_f)
+    trace, stop = [float((cost_s * pi_s).sum())], "max_iters"
+    for _ in range(config.max_iters):
+        pi_s = ot_exact(a, b, cost_s)[0]
+        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0]
+        cost_s = _gw_linear_term(wx, wy, pi_f)
+        obj, new_obj = trace[-1], float((cost_s * pi_s).sum())
+        trace.append(min(obj, new_obj))
+        if obj - new_obj <= config.tol * max(1.0, abs(obj)):
+            stop = "rel_tol"
+            break
+    return 0.5 * float(np.sqrt(max(trace[-1], 0.0))), pi_s, pi_f, trace, stop
+
+
+def test_cot_ascent_equals_the_alternation_loop():
+    # cot_solve steps through the shared restart loop; its value, couplings,
+    # trace and restart outcome are those of the plain loop, bit for bit
+    stops = set()
+    for seed, max_iters, tol in itertools.product(range(6), (0, 1, 3, 200), (0.0, 1e-10, 1e-3)):
+        r = np.random.default_rng([31, seed])
+        n, m, fx, fy = (int(v) for v in r.integers(2, 8, size=4))
+        hx = random_hypernetwork(r, n, fx, unit_mass=True)
+        hy = random_hypernetwork(r, m, fy, unit_mass=True)
+        config = BaselineConfig(max_iters=max_iters, tol=tol)
+        value, pi_s, pi_f, report = cot_solve(hx, hy, config)
+        ref_value, ref_s, ref_f, trace, stop = _cot_alternation_loop(hx, hy, config)
+        assert value == ref_value
+        assert np.array_equal(pi_s, ref_s) and np.array_equal(pi_f, ref_f)
+        assert report.objective_trace == trace
+        assert report.restarts == [{"objective": trace[-1], "sweeps": len(trace) - 1,
+                                    "stop": stop}]
+        stops.add(stop)
+    assert stops == {"rel_tol", "max_iters"}
+
+
 def test_gw_linear_term_matches_loop(rng):
     wx = rng.uniform(size=(3, 3))
     wy = rng.uniform(size=(4, 4))

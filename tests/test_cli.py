@@ -294,6 +294,20 @@ def test_img2net_reads_a_one_row_or_one_column_image(tmp_path, text, capsys, mon
     assert len(json.loads(out)["weights"]) == 3
 
 
+@pytest.mark.parametrize("pixel, code_name", [("nan", "non_finite_entry"),
+                                              ("inf", "non_finite_entry"),
+                                              ("-1", "negative_weight")])
+def test_img2net_rejects_a_non_finite_or_negative_pixel(tmp_path, pixel, code_name, capsys,
+                                                        monkeypatch):
+    (tmp_path / "bad.csv").write_text(f"1,{pixel},3\n4,5,6\n")
+    for n_sample in ("3", "6"):
+        code, out, err = _run_in(tmp_path, ["img2net", "bad.csv", "--n-sample", n_sample,
+                                            "--knn", "1"], capsys, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {code_name}:") and "(0, 1)" in err
+
+
 def test_gen_aligned_command(tmp_path, capsys, monkeypatch):
     code, out, _ = _run_in(
         tmp_path, ["gen-aligned", "--cells", "20", "--feat-x", "3",
@@ -335,6 +349,22 @@ def test_classify_rejects_k_or_trials_below_one(tmp_path, flag, value, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("error: negative_argument")
+
+
+@pytest.mark.parametrize("feats, rate, message", [
+    ("0,0\n1,nan\n0,1\n1,1\n", "0.5", "error: non_finite_entry: non-finite entry at index (1, 1)"),
+    ("0,0\n1,2\n0,1\n1,1\n", "nan", "error: degenerate_split: label_rate nan ")],
+    ids=["nan-feature", "nan-label-rate"])
+def test_classify_rejects_a_nan_feature_or_label_rate(tmp_path, feats, rate, message, capsys,
+                                                      monkeypatch):
+    (tmp_path / "f.csv").write_text(feats)
+    (tmp_path / "l.csv").write_text("0\n1\n0\n1\n")
+    argv = ["classify", "--features", "f.csv", "--labels", "l.csv", "--k", "1",
+            "--label-rate", rate, "--trials", "1"]
+    code, out, err = _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_classify_rejects_more_labels_than_feature_rows(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,8 @@ from conicot.errors import (
     InsufficientMass,
     LengthMismatch,
     NegativeArgument,
+    NegativeWeight,
+    NonFiniteEntry,
     PlacementFailure,
 )
 from tests.conftest import random_network
@@ -95,6 +97,19 @@ def test_image_to_network_redraws_until_a_bright_pixel():
     assert [5.0, 2.0] in net.points.tolist()
     with pytest.raises(InsufficientMass):
         image_to_network(np.zeros((8, 8)), n_sample=5, knn=2)
+
+
+@pytest.mark.parametrize("pixel, error", [(np.nan, NonFiniteEntry), (np.inf, NonFiniteEntry),
+                                          (-np.inf, NonFiniteEntry), (-1.0, NegativeWeight)])
+@pytest.mark.parametrize("n_sample", [3, 6])
+def test_image_to_network_rejects_a_non_finite_or_negative_pixel(pixel, error, n_sample):
+    # the whole image is checked, so the pixel is named whether it is drawn
+    # or not; a NaN pixel used to be drawn around, or to read as dark
+    img = np.array([[1.0, pixel, 3.0], [4.0, 5.0, 6.0]])
+    for seed in range(4):
+        with pytest.raises(error) as info:
+            image_to_network(img, n_sample=n_sample, knn=1, seed=seed)
+        assert info.value.index == (0, 1)
 
 
 def test_gen_aligned_shapes_and_correspondence():
@@ -207,6 +222,20 @@ def test_knn_classify_degenerate():
         knn_classify(feats, labels, k=1, label_rate=0.01, trials=1)
     with pytest.raises(DegenerateSplit):
         knn_classify(feats, labels, k=5, label_rate=0.5, trials=1)
+
+
+def test_knn_classify_rejects_non_finite_features():
+    feats = np.array([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NonFiniteEntry) as info:
+        knn_classify(feats, np.array([0, 1, 0, 1]), k=1, label_rate=0.5, trials=1)
+    assert info.value.index == (1, 1)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), 0.0, 1.0, -0.5, 1.5, float("inf")])
+def test_knn_classify_rejects_a_label_rate_outside_zero_one(rate):
+    # checked before any split: NaN used to fail in int(round(nan))
+    with pytest.raises(DegenerateSplit, match=f"^label_rate {rate} "):
+        knn_classify(np.zeros((4, 1)), np.array([0, 0, 1, 1]), k=1, label_rate=rate, trials=1)
 
 
 @pytest.mark.parametrize("field, value", [("n_cells", 0), ("feat_x", 0), ("feat_y", 0),

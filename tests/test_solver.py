@@ -332,6 +332,67 @@ def test_objective_shape_check(rng):
         objective_F(bad, tensor)
 
 
+_POLICIES = [TensorPolicy(), TensorPolicy(max_dense_bytes=0, quantize_bins=8)]
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["dense", "factored"])
+@pytest.mark.parametrize("seed", range(4))
+def test_objective_F_is_a_one_start_stacks_first_objective(policy, seed):
+    # the ascent starts from objective_F itself, so the two are equal bit for bit
+    r = np.random.default_rng([4, seed])
+    hx, hy = random_hypernetwork(r, 5, 4), random_hypernetwork(r, 6, 3)
+    config = SolverConfig(kernel=make_kernel("cos" if seed % 2 else "exp", 0.5),
+                          restarts=3, max_iters=2, tensor_policy=policy)
+    tensor = build_tensor(hx, hy, config.kernel, policy)
+    marginals = (hx.sample_weights, hy.sample_weights,
+                 hx.feature_weights, hy.feature_weights)
+    for start in solver._inits(marginals, tensor, config):
+        F = objective_F(start, tensor)  # before the sweeps step the start in place
+        (_, _, trace, _), = solver._run_stack([tensor], marginals, [(0, start)], 1, config)
+        assert type(F) is float and F == trace[0]
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["dense", "factored"])
+def test_objective_F_of_a_stack_matches_each_slice(rng, policy):
+    # a stacked dense contraction is one product, summed in another order
+    hx, hy = random_hypernetwork(rng, 5, 4), random_hypernetwork(rng, 6, 3)
+    kernels = [make_kernel("exp", 0.5), make_kernel("cos", 0.3)]
+    tensors = [build_tensor(hx, hy, k, policy) for k in kernels]
+    marginals = (hx.sample_weights, hy.sample_weights,
+                 hx.feature_weights, hy.feature_weights)
+    starts = list(solver._inits(marginals, tensors[0], SolverConfig(kernel=kernels[0])))
+    F = objective_F(solver._stack(starts), tensors[0])
+    assert F.shape == (4,)
+    for f, start in zip(F, starts):
+        assert f == pytest.approx(objective_F(start, tensors[0]), rel=1e-13)
+    if policy.fits_dense(tensors[0].dims):  # a mixed stack: one matrix per slice
+        mixed = DistortionTensor(TensorMode.Dense, tensors[0].dims,
+                                 np.stack([t.matrix for t in tensors]))
+        F = objective_F(solver._stack(starts[:2]), mixed)
+        for f, start, tensor in zip(F, starts, tensors):
+            assert f == pytest.approx(objective_F(start, tensor), rel=1e-13)
+    bad = dataclasses.replace(solver._stack(starts), A=np.zeros((4, 7, 7)))
+    with pytest.raises(DimensionMismatch):
+        objective_F(bad, tensors[0])
+
+
+def test_run_stack_returns_quadruples(rng):
+    # of a single-kernel stack and of a mixed one, whose matrices stay behind
+    hx, hy = random_hypernetwork(rng, 4, 3), random_hypernetwork(rng, 5, 3)
+    kernels = [make_kernel("exp", 0.5), make_kernel("cos", 0.3)]
+    tensors = [build_tensor(hx, hy, k) for k in kernels]
+    marginals = (hx.sample_weights, hy.sample_weights,
+                 hx.feature_weights, hy.feature_weights)
+    config = SolverConfig(kernel=kernels[0], restarts=2, max_iters=5)
+    starts = [(k, q) for k, t in enumerate(tensors) for q in solver._inits(marginals, t, config)]
+    for size in (2, 4):
+        out = solver._run_stack(tensors, marginals, starts[-size:], size, config)
+        assert [k for k, *_ in out] == [k for k, _ in starts[-size:]]
+        for _, quad, _, _ in out:
+            assert type(quad) is SemiCouplingQuadruple and not hasattr(quad, "matrix")
+            assert quad.A.shape == (4, 5) and quad.Ap.shape == (3, 3)
+
+
 def test_distance_from_objective_clamp():
     masses = (1.0, 1.0, 1.0, 1.0)
     # F slightly above the mass term from round-off is clamped to zero
