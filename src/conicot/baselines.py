@@ -14,7 +14,7 @@ import types
 
 import numpy as np
 
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork
+from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _check_weights
 from .errors import CapExceeded, MassMismatch, NegativeArgument, check_count
 from .solver import _ascend, _report
 
@@ -56,14 +56,14 @@ def ot_exact(a, b, cost):
     optimal value). A cost with a leading stack axis is a stack of problems
     with the same marginals: the coupling and the values then carry
     that axis, and the problems are solved as block-diagonal LPs of at most
-    OT_STACK_VARS variables (or one problem) each. Marginals must have
-    equal total mass, and neither side may exceed OT_EXACT_CAP points.
+    OT_STACK_VARS variables (or one problem) each. Marginals must be
+    finite and nonnegative (NonFiniteEntry, NegativeWeight at the index)
+    with equal total mass, and neither side may exceed OT_EXACT_CAP points.
     scipy.optimize and scipy.sparse are imported on the first call, not
     with conicot.
     """
     from scipy import optimize
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _check_weights(a, "a"), _check_weights(b, "b")
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape[-2:]
     _check_equal_mass(a, b)
@@ -87,32 +87,31 @@ def ot_exact(a, b, cost):
 
 
 def _round_to_polytope(pi, a, b):
-    """Altschuler-style rounding of an approximate coupling onto Pi(a, b)."""
-    r = pi.sum(axis=1)
-    scale = np.minimum(1.0, np.divide(a, r, out=np.ones_like(a), where=r > 0))
-    pi = pi * scale[:, None]
-    c = pi.sum(axis=0)
-    scale = np.minimum(1.0, np.divide(b, c, out=np.ones_like(b), where=c > 0))
-    pi = pi * scale[None, :]
-    ea = a - pi.sum(axis=1)
-    eb = b - pi.sum(axis=0)
-    s = ea.sum()
-    if s > 0:
-        pi = pi + np.outer(ea, eb) / s
-    return pi
+    """Altschuler-style rounding of an approximate coupling onto Pi(a, b); a
+    stack of couplings (a leading axis) is rounded slice by slice."""
+    r = pi.sum(axis=-1)
+    pi = pi * np.minimum(1.0, np.divide(a, r, out=np.ones_like(r), where=r > 0))[..., None]
+    c = pi.sum(axis=-2)
+    pi = pi * np.minimum(1.0, np.divide(b, c, out=np.ones_like(c), where=c > 0))[..., None, :]
+    ea = a - pi.sum(axis=-1)
+    eb = b - pi.sum(axis=-2)
+    s = ea.sum(axis=-1)[..., None, None]
+    fill = np.divide(ea[..., :, None] * eb[..., None, :], s, out=np.zeros_like(pi), where=s > 0)
+    return np.where(s > 0, pi + fill, pi)
 
 
 def _gw_linear_term(wx, wy, pi):
-    """L(pi)_ik = Sigma_{i'k'} |wx(i,i') - wy(k,k')|^2 pi_{i'k'}."""
-    r = pi.sum(axis=1)
-    c = pi.sum(axis=0)
-    u = (wx * wx) @ r
-    v = (wy * wy) @ c
-    return u[:, None] + v[None, :] - 2.0 * (wx @ pi @ wy.T)
+    """L(pi)_ik = Sigma_{i'k'} |wx(i,i') - wy(k,k')|^2 pi_{i'k'}, slice by
+    slice for a stack of couplings. The vector products are matrix-column
+    products, which sum in the same order for a stack as for one matrix."""
+    u = (wx * wx) @ pi.sum(axis=-1)[..., None]
+    v = (wy * wy) @ pi.sum(axis=-2)[..., None]
+    return u + v.swapaxes(-2, -1) - 2.0 * (wx @ pi @ wy.T)
 
 
 def _gw_objective(wx, wy, pi):
-    return float((_gw_linear_term(wx, wy, pi) * pi).sum())
+    """The GW objective <L(pi), pi>, one value per slice of a stack."""
+    return (_gw_linear_term(wx, wy, pi) * pi).sum(axis=(-2, -1))
 
 
 @dataclasses.dataclass
@@ -145,32 +144,24 @@ def gw2_solve(nx: DiscreteMeasureNetwork, ny: DiscreteMeasureNetwork,
     a, b = nx.weights, ny.weights
     _check_equal_mass(a, b)
     wx, wy = nx.kernel, ny.kernel
-    rng = np.random.default_rng(config.seed)
-    pis = [np.outer(a, b) / max(b.sum(), 1e-300)]
-    for _ in range(config.restarts - 1):
-        noise = rng.uniform(0.5, 1.5, size=(a.size, b.size))
-        pis.append(_round_to_polytope(pis[0] * noise, a, b))
-
-    s = types.SimpleNamespace(pi=np.stack(pis),
-                              obj=np.array([_gw_objective(wx, wy, pi) for pi in pis]))
+    pi = np.outer(a, b) / max(b.sum(), 1e-300)
+    noise = np.random.default_rng(config.seed).uniform(
+        0.5, 1.5, size=(config.restarts - 1, a.size, b.size))
+    pis = np.concatenate((pi[None], _round_to_polytope(pi * noise, a, b)))
+    s = types.SimpleNamespace(pi=pis, obj=_gw_objective(wx, wy, pis))
 
     def sweep(s):
-        grads = [_gw_linear_term(wx, wy, pi) + _gw_linear_term(wx.T, wy.T, pi) for pi in s.pi]
-        vertices = ot_exact(a, b, np.stack(grads))[0]
-        pis, objs = [], []
-        for pi, obj, grad, vertex in zip(s.pi, s.obj.tolist(), grads, vertices):
-            delta = vertex - pi
-            # the objective along pi + t delta is obj + t lin + t^2 quad exactly
-            lin = float((grad * delta).sum())
-            quad = _gw_objective(wx, wy, delta)
-            if quad > 0:
-                t = np.clip(-lin / (2.0 * quad), 0.0, 1.0)
-            else:
-                t = 1.0 if lin + quad < 0 else 0.0
-            pis.append(pi + t * delta)
-            # a step that rounds upward counts as no decrease, so it stops
-            objs.append(min(obj, obj + t * lin + t * t * quad))
-        s.pi, s.obj = np.stack(pis), np.array(objs)
+        grad = _gw_linear_term(wx, wy, s.pi) + _gw_linear_term(wx.T, wy.T, s.pi)
+        delta = ot_exact(a, b, grad)[0] - s.pi
+        # the objective along pi + t delta is obj + t lin + t^2 quad exactly
+        lin = (grad * delta).sum(axis=(-2, -1))
+        quad = _gw_objective(wx, wy, delta)
+        # the exact line search; a step with no curvature goes all the way or nowhere
+        t = np.clip(np.divide(-lin, 2.0 * quad, out=(lin + quad < 0) * 1.0, where=quad > 0),
+                    0.0, 1.0)
+        s.pi = s.pi + t[:, None, None] * delta
+        # a step that rounds upward counts as no decrease, so it stops
+        s.obj = np.minimum(s.obj, s.obj + t * lin + t * t * quad)
         return s.obj
 
     runs = _ascend(s, s.obj, sweep, config.max_iters, config.tol)
@@ -196,17 +187,17 @@ def cot_solve(hx: DiscreteMeasureHypernetwork, hy: DiscreteMeasureHypernetwork,
     wx, wy = hx.kernel, hy.kernel
     pi_f = np.outer(ap, bp) / max(bp.sum(), 1e-300)
     pi_s = np.outer(a, b) / max(b.sum(), 1e-300)
-    cost_s = _gw_linear_term(wx, wy, pi_f)  # the sample-side cost at pi_f
-    s = types.SimpleNamespace(pi_s=pi_s[None], pi_f=pi_f[None], cost_s=cost_s[None],
-                              obj=np.array([float((cost_s * pi_s).sum())]))
+    # a stack of one restart; cost_s is the sample-side cost at pi_f
+    s = types.SimpleNamespace(pi_s=pi_s[None], pi_f=pi_f[None],
+                              cost_s=_gw_linear_term(wx, wy, pi_f[None]))
+    s.obj = (s.cost_s * s.pi_s).sum(axis=(-2, -1))
 
     def sweep(s):
-        pi_s = ot_exact(a, b, s.cost_s[0])[0]
-        pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, pi_s))[0]
-        cost_s = _gw_linear_term(wx, wy, pi_f)
+        s.pi_s = ot_exact(a, b, s.cost_s)[0]
+        s.pi_f = ot_exact(ap, bp, _gw_linear_term(wx.T, wy.T, s.pi_s))[0]
+        s.cost_s = _gw_linear_term(wx, wy, s.pi_f)
         # an alternation that raises the objective counts as no decrease, so it stops
-        obj = min(float(s.obj[0]), float((cost_s * pi_s).sum()))
-        s.pi_s, s.pi_f, s.cost_s, s.obj = pi_s[None], pi_f[None], cost_s[None], np.array([obj])
+        s.obj = np.minimum(s.obj, (s.cost_s * s.pi_s).sum(axis=(-2, -1)))
         return s.obj
 
     runs = _ascend(s, s.obj, sweep, config.max_iters, config.tol)

@@ -34,6 +34,7 @@ from .baselines import BaselineConfig, cot_solve, gw2_solve
 from .cone import make_kernel
 from .core import (
     DiscreteMeasureNetwork,
+    _check_kernel_entries,
     embed_network_as_hypernetwork,
     load_json,
     validate_network,
@@ -159,8 +160,13 @@ def _gen_aligned(args):
 
 def _classify(args):
     feats = np.loadtxt(args.features, delimiter=",", ndmin=2)
-    labels = np.loadtxt(args.labels, delimiter=",").astype(int)
-    mean, std = knn_classify(feats, labels, k=args.k, label_rate=args.label_rate,
+    labels = np.loadtxt(args.labels, delimiter=",", ndmin=1)
+    _check_kernel_entries(labels)  # a NaN or inf label: NonFiniteEntry at its row
+    bad = np.flatnonzero((labels != np.round(labels)) | (np.abs(labels) >= 2.0**63))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"label {labels[row]} at row {row} is not a 64-bit integer")
+    mean, std = knn_classify(feats, labels.astype(int), k=args.k, label_rate=args.label_rate,
                              trials=args.trials, seed=args.seed)
     return {"mean_error": mean, "std_error": std}
 

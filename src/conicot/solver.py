@@ -174,25 +174,29 @@ def _tight(W, target, axis, s=None):
 
 
 def _project_pair(A, B, live, row_target, col_target):
-    """Zero a semi-coupling pair off the mask live, then make it tight: rows
-    of A to row_target, columns of B to col_target. A and B may carry a
-    leading stack axis; they are left as they are, and the pair returned is
-    new."""
-    return _tight(A * live, row_target, 1), _tight(B * live, col_target, 0)
+    """Zero a fresh semi-coupling pair off the mask live (none of it when
+    live is True: every entry is live), then make it tight: rows of A to
+    row_target, columns of B to col_target. A and B are overwritten and
+    may carry a leading stack axis; returns them."""
+    if live is not True:
+        A *= live
+        B *= live
+    return _tight(A, row_target, 1), _tight(B, col_target, 0)
 
 
 def project_to_gamma_bar(quad: SemiCouplingQuadruple, live, marginals) -> SemiCouplingQuadruple:
     """Zero entries off live, the (n x m, n' x m') masks of nonvanishing Omega
     slice sums (a mask True: every entry is live), then rescale marginal
-    sums tight.
+    sums tight, in float64 copies: quad is left as it is.
 
     Surviving rows of A are rescaled to sum to a_i, columns of B to b_k, rows
     of A' to a'_j, columns of B' to b'_l. The objective never decreases: the
     zeroed entries contribute nothing and surviving scale factors are >= 1.
     """
     a, b, ap, bp = marginals
-    return SemiCouplingQuadruple(*_project_pair(quad.A, quad.B, live[0], a, b),
-                                 *_project_pair(quad.Ap, quad.Bp, live[1], ap, bp))
+    A, B, Ap, Bp = (np.array(X, dtype=np.float64) for X in (quad.A, quad.B, quad.Ap, quad.Bp))
+    return SemiCouplingQuadruple(*_project_pair(A, B, live[0], a, b),
+                                 *_project_pair(Ap, Bp, live[1], ap, bp))
 
 
 def update_block(A, B, K2, row_target, col_target):
@@ -290,10 +294,7 @@ def _inits(marginals, tensor, config):
         if jitter:
             for M in (A, B):
                 M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
-        if mask is not True:
-            A *= mask
-            B *= mask
-        return _tight(A, row, 1), _tight(B, col, 0)
+        return _project_pair(A, B, mask, row, col)
 
     for r in range(config.restarts):
         yield SemiCouplingQuadruple(*pair(a, b, live[0], r > 0), *pair(ap, bp, live[1], r > 0))

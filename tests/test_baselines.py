@@ -15,7 +15,8 @@ from conicot import (
     validate_network,
 )
 from conicot.baselines import OT_STACK_VARS, _gw_linear_term, _gw_objective, _round_to_polytope
-from conicot.errors import CapExceeded, MassMismatch, NegativeArgument
+from conicot.errors import (CapExceeded, MassMismatch, NegativeArgument, NegativeWeight,
+                            NonFiniteEntry)
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -117,6 +118,19 @@ def test_ot_exact_stack_equals_slice_calls(shape, height, monkeypatch):
         assert isinstance(one_value, float)
         assert np.abs(pi - one).max() <= 1e-12
         assert abs(value - one_value) <= 1e-12
+
+
+@pytest.mark.parametrize("marginal, error, index", [
+    ([np.nan, 1.0], NonFiniteEntry, 0), ([0.5, np.inf], NonFiniteEntry, 1),
+    ([-0.5, 1.5], NegativeWeight, 0)])
+def test_ot_exact_checks_its_marginals(marginal, error, index):
+    # either marginal is checked before the mass check and the LP, which
+    # would report a NaN or a negative entry as a mass mismatch
+    cost = [[0.0, 1.0], [1.0, 0.0]]
+    for a, b in ((marginal, [0.5, 0.5]), ([0.5, 0.5], marginal)):
+        with pytest.raises(error) as raised:
+            ot_exact(a, b, cost)
+        assert raised.value.index == index
 
 
 def _gw2_per_restart(nx, ny, config):
@@ -234,6 +248,21 @@ def test_gw_linear_term_matches_loop(rng):
                 for kp in range(4):
                     ref[i, k] += (wx[i, ip] - wy[k, kp]) ** 2 * pi[ip, kp]
     assert np.allclose(_gw_linear_term(wx, wy, pi), ref, atol=1e-12)
+    # a stack gives its slices' 2-D results bit for bit; gw2 at restarts=1
+    # rounds a stack of height 0. Slice 0 has a zero row, slice 1 is a
+    # feasible coupling
+    for n, m, height in itertools.product((2, 5, 9), (3, 8), (0, 2, 5)):
+        wx, wy = rng.uniform(size=(n, n)), rng.uniform(size=(m, m))
+        a, b = rng.uniform(0.5, 1.5, size=n), rng.uniform(0.5, 1.5, size=m)
+        b *= a.sum() / b.sum()
+        pis = rng.uniform(size=(height, n, m))
+        pis[:1, 0] = 0.0
+        pis[1:2] = np.outer(a, b) / b.sum()
+        for fn in (lambda p: _gw_linear_term(wx, wy, p), lambda p: _gw_objective(wx, wy, p),
+                   lambda p: _round_to_polytope(p, a, b)):
+            stacked = fn(pis)
+            assert stacked.shape == (height,) + np.shape(fn(rng.uniform(size=(n, m))))
+            assert all(np.array_equal(s, fn(p)) for s, p in zip(stacked, pis))
 
 
 def test_gw2_zero_on_permutation(rng):
@@ -310,7 +339,8 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_gw2_three_linear_terms_per_step(rng, monkeypatch):
-    # the gradient, the step's quadratic and nothing else; plus the start
+    # the starts' objective, then the gradient's two terms and the step's
+    # quadratic per stacked step, whatever the height of the stack
     nx = random_network(rng, 5, unit_mass=True)
     ny = random_network(rng, 6, unit_mass=True)
     calls = _count_calls(monkeypatch, "_gw_linear_term", "ot_exact")
@@ -318,14 +348,14 @@ def test_gw2_three_linear_terms_per_step(rng, monkeypatch):
     assert calls["ot_exact"] > 1
     assert calls["_gw_linear_term"] == 1 + 3 * calls["ot_exact"]
     # the restarts step as one stack: one stacked ot_exact per step, as many
-    # as the longest restart takes, and three terms per restart step
+    # as the longest restart takes
     config = BaselineConfig(restarts=4)
     monkeypatch.undo()
     steps = _gw2_per_restart(nx, ny, config)[3]
     calls = _count_calls(monkeypatch, "_gw_linear_term", "ot_exact")
     gw2_solve(nx, ny, config)
     assert calls["ot_exact"] == max(steps) < sum(steps)
-    assert calls["_gw_linear_term"] == 4 + 3 * sum(steps)
+    assert calls["_gw_linear_term"] == 1 + 3 * calls["ot_exact"]
 
 
 def test_cot_two_linear_terms_per_alternation(rng, monkeypatch):

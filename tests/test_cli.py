@@ -367,6 +367,26 @@ def test_classify_rejects_a_nan_feature_or_label_rate(tmp_path, feats, rate, mes
     assert err.startswith(message)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("label, message", [
+    ("1.7", "error: validation: label 1.7 at row 1 is not a 64-bit integer"),
+    ("1e20", "error: validation: label 1e+20 at row 1 is not a 64-bit integer"),
+    ("nan", "error: non_finite_entry: non-finite entry at index (1,)"),
+    ("inf", "error: non_finite_entry: non-finite entry at index (1,)")])
+def test_classify_rejects_a_label_that_is_not_an_integer(tmp_path, label, message, capsys,
+                                                         monkeypatch):
+    # a fractional label is not truncated to a class, and a NaN, inf or
+    # out-of-range one is named before any cast to int
+    (tmp_path / "f.csv").write_text("0,0\n1,1\n0,1\n1,0\n")
+    (tmp_path / "l.csv").write_text(f"0\n{label}\n0\n1\n")
+    argv = ["classify", "--features", "f.csv", "--labels", "l.csv", "--k", "1",
+            "--label-rate", "0.5", "--trials", "1"]
+    code, out, err = _run_in(tmp_path, argv, capsys, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_classify_rejects_more_labels_than_feature_rows(tmp_path, capsys, monkeypatch):
     fp, lp = tmp_path / "f.csv", tmp_path / "l.csv"
     np.savetxt(fp, np.random.default_rng(0).normal(size=(6, 2)), delimiter=",")

@@ -850,10 +850,21 @@ def test_factored_solve_takes_slice_sums_only_when_its_table_has_a_zero(
 
 def _masked_starts(marginals, tensor, config):
     """Every start as _inits made it with Omega-slice masks from slice_sums
-    alone: product and jittered pairs, each zeroed off its mask and made
-    tight, then the extra starts."""
+    alone: product and jittered pairs, then the extra starts, each zeroed
+    off its mask and made tight in plain numpy."""
     live = _live(tensor)
     rng = np.random.default_rng(config.seed)
+
+    def tight(W, target, axis):
+        s = W.sum(axis=axis)
+        r = np.divide(target, s, out=np.zeros(s.shape), where=s > 0)
+        return W * (r[:, None] if axis == 1 else r[None, :])
+
+    def projected(A, B, Ap, Bp):
+        (a, b, ap, bp), (sample, feature) = marginals, live
+        return SemiCouplingQuadruple(tight(A * sample, a, 1), tight(B * sample, b, 0),
+                                     tight(Ap * feature, ap, 1), tight(Bp * feature, bp, 0))
+
     for r in range(config.restarts):
         blocks = []
         for row, col in (marginals[:2], marginals[2:]):
@@ -862,9 +873,9 @@ def _masked_starts(marginals, tensor, config):
                 for M in (A, B):
                     M *= 1.0 + rng.uniform(-0.1, 0.1, size=M.shape)
             blocks += [A, B]
-        yield project_to_gamma_bar(SemiCouplingQuadruple(*blocks), live, marginals)
+        yield projected(*blocks)
     for extra in config.extra_inits:
-        yield project_to_gamma_bar(extra, live, marginals)
+        yield projected(extra.A, extra.B, extra.Ap, extra.Bp)
 
 
 @pytest.mark.parametrize("family, delta, kind", [
