@@ -8,35 +8,25 @@ cross-metric checks elsewhere budget a solver-gap slack and use restarts.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 import types
 
 import numpy as np
 
-from .core import DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _check_weights
-from .errors import CapExceeded, MassMismatch, NegativeArgument, check_count
+from .core import (DiscreteMeasureHypernetwork, DiscreteMeasureNetwork, _check_kernel_entries,
+                   _check_weights)
+from .errors import CapExceeded, LengthMismatch, MassMismatch, NegativeArgument, check_count
 from .solver import _ascend, _report
 
-OT_EXACT_CAP = 512  # largest side of an ot_exact linear program
-# most variables in one stacked ot_exact linear program. Separate small LPs
-# spend most of their time in scipy's per-call work, so a block-diagonal LP
-# of a few small problems is faster than as many calls; past about 2^13
-# variables in all, HiGHS takes longer on the one LP than on the separate ones
-OT_STACK_VARS = 1 << 12
-
-
-@functools.lru_cache(maxsize=32)
-def _transport_constraints(n: int, m: int, height: int):
-    """Row/column-sum equality constraints (one redundant row dropped), in
-    the compressed-column form that HiGHS takes; for a stack of `height`
-    problems, one such block per problem on the diagonal."""
-    from scipy import sparse
-    if height > 1:
-        return sparse.block_diag([_transport_constraints(n, m, 1)] * height, format="csc")
-    rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
-    cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    return sparse.vstack([rows, cols]).tocsr()[:-1].tocsc()
+OT_EXACT_CAP = 512  # largest side of an ot_exact problem
+# cells of reduced costs priced per block (whole rows, at least one): a block
+# amortizes numpy's per-call work, and a pivot is found before a full scan
+_PRICE_CELLS = 4096
+# optimality: no reduced cost below -_OPT_TOL * max(1, max |cost|)
+_OPT_TOL = 1e-12
+# degenerate pivots in a row, per node, after which Bland's rule picks both
+# cells until a pivot moves flow; it cannot cycle, so the simplex terminates
+_BLAND_RUN = 1
 
 
 def _check_equal_mass(a, b):
@@ -45,43 +35,159 @@ def _check_equal_mass(a, b):
         raise MassMismatch(f"total masses {a.sum()} vs {b.sum()}")
 
 
+def _transport_simplex(a, b, cost):
+    """An optimal basic flow of one transport problem, by the transportation
+    (network) simplex on the bipartite graph of rows 0..n-1 and columns
+    n..n+m-1.
+
+    The basis is a spanning tree rooted at row 0; each node other than the
+    root holds its parent, its depth, its children and the flow of the cell
+    joining it to its parent. Zero-flow cells are basic too, so the tree
+    always has n + m - 1 cells and the flow is a vertex of the transport
+    polytope.
+    """
+    n, m = cost.shape
+    parent, depth, flow = [-1] * (n + m), [0] * (n + m), [0.0] * (n + m)
+    children = [set() for _ in range(n + m)]
+    pot = np.zeros(n + m)  # u = pot[:n], v = pot[n:], u_i + v_j = cost_ij on the tree
+    # the north-west corner rule: each cell hangs the node it reaches under
+    # the node it comes from; a tie moves down. The last cell takes what is
+    # left of its row, so a rounding gap between the totals ends up there
+    i = j = 0
+    ra, rb = a[0], b[0]
+    node, up = n, 0
+    for step in range(n + m - 1):
+        if step:
+            x = min(ra, rb)
+            flow[node] = x
+            ra, rb = ra - x, rb - x
+            if j == m - 1 or (i < n - 1 and ra <= rb):
+                i += 1
+                ra, node, up = a[i], i, n + j
+            else:
+                j += 1
+                rb, node, up = b[j], n + j, i
+        parent[node], depth[node] = up, depth[up] + 1
+        children[up].add(node)
+        pot[node] = cost[i, j] - pot[up]
+    flow[node] = ra
+    u, v = pot[:n], pot[n:]
+    tol = _OPT_TOL * max(1.0, float(np.abs(cost).max()))
+    rows = max(1, _PRICE_CELLS // m)
+    blocks = -(-n // rows)
+    block = degenerate = 0
+    while True:
+        # pricing: the most negative reduced cost of the first block, from
+        # the one after the last pivot's, that has one below -tol; under
+        # Bland's rule the first such cell in row-major order
+        bland = degenerate >= _BLAND_RUN * (n + m)
+        if bland:
+            r = (cost - u[:, None] - v).ravel()
+            k = int(np.argmax(r < -tol))
+            if not r[k] < -tol:
+                break
+            i, j, rc = k // m, k % m, r[k]
+        else:
+            for tried in range(blocks):
+                lo = (block + tried) % blocks * rows
+                r = cost[lo:lo + rows] - u[lo:lo + rows, None] - v
+                k = int(r.argmin())
+                if r.flat[k] < -tol:
+                    i, j, rc = lo + k // m, k % m, r.flat[k]
+                    block = (block + tried + 1) % blocks
+                    break
+            else:
+                break
+        # the cycle the entering cell closes: both of its ends up to their
+        # common ancestor. Counting from either end, the first, third, ...
+        # tree cells lose flow and the others gain it
+        p, q = i, n + j
+        up_p, up_q = [], []
+        while depth[p] > depth[q]:
+            up_p.append(p)
+            p = parent[p]
+        while depth[q] > depth[p]:
+            up_q.append(q)
+            q = parent[q]
+        while p != q:
+            up_p.append(p)
+            up_q.append(q)
+            p, q = parent[p], parent[q]
+        theta = min([flow[c] for c in up_p[::2] + up_q[::2]])
+        # the leaving cell among those whose flow falls to 0: under Bland's
+        # rule the first in row-major order; otherwise the last met going
+        # round the cycle from the apex in the entering cell's direction
+        # (row to column), Cunningham's choice
+        if bland:
+            leave = min((c * m + parent[c] - n if c < n else parent[c] * m + c - n, c)
+                        for c in up_p[::2] + up_q[::2] if flow[c] == theta)[1]
+        else:
+            leave = next((c for c in reversed(up_q[::2]) if flow[c] == theta), None)
+            if leave is None:
+                leave = next(c for c in up_p[::2] if flow[c] == theta)
+        degenerate = 0 if theta else degenerate + 1
+        if theta:
+            for path in (up_p, up_q):
+                for k, c in enumerate(path):
+                    flow[c] += theta if k % 2 else -theta
+        # cut the leaving cell and hang its side of the tree from the
+        # entering cell: the path from that end up to the cut turns over
+        end, other, path = (i, n + j, up_p) if leave in up_p else (n + j, i, up_q)
+        above, carried = other, theta
+        for c in path:
+            children[parent[c]].discard(c)
+            children[above].add(c)
+            parent[c], above = above, c
+            flow[c], carried = carried, flow[c]
+            if c == leave:
+                break
+        # the re-hung subtree's potentials shift so that the entering cell's
+        # reduced cost is 0: rows by rc and columns by -rc when its end is a
+        # row, the other way round when it is a column
+        shift = rc if end < n else -rc
+        level, d, subtree = [end], depth[other] + 1, []
+        while level:
+            subtree += level
+            for w in level:
+                depth[w] = d
+            level, d = [c for w in level for c in children[w]], d + 1
+        subtree = np.array(subtree)
+        pot[subtree] += np.where(subtree < n, shift, -shift)
+    node = np.arange(1, n + m)
+    above = np.array(parent[1:])
+    x = np.zeros((n, m))
+    x[np.where(node < n, node, above), np.where(node < n, above, node) - n] = flow[1:]
+    return x
+
+
 def ot_exact(a, b, cost):
-    """Exact optimal transport by linear programming: HiGHS through
-    `scipy.optimize.milp`, with no integrality.
+    """Exact optimal transport by the transportation simplex.
 
     The coupling is a basic solution, a vertex of the transport polytope
     with at most n + m - 1 positive entries, as a Frank-Wolfe step needs.
-    milp passes the problem to HiGHS with less per-call work than linprog,
-    which matters for the many tiny LPs of gw2_solve. Returns (coupling,
-    optimal value). A cost with a leading stack axis is a stack of problems
-    with the same marginals: the coupling and the values then carry
-    that axis, and the problems are solved as block-diagonal LPs of at most
-    OT_STACK_VARS variables (or one problem) each. Marginals must be
-    finite and nonnegative (NonFiniteEntry, NegativeWeight at the index)
-    with equal total mass, and neither side may exceed OT_EXACT_CAP points.
-    scipy.optimize and scipy.sparse are imported on the first call, not
-    with conicot.
+    Returns (coupling, optimal value). A cost with leading stack axes is a
+    stack of problems with the same marginals, solved one slice after
+    another: the coupling and the values then carry those axes. Marginals
+    must be finite and nonnegative (NonFiniteEntry, NegativeWeight naming
+    the marginal and the index) with equal total mass, neither side may
+    exceed OT_EXACT_CAP points, the cost's last two axes must match the
+    marginals (LengthMismatch), and every cost must be finite
+    (NonFiniteEntry at its index). Loads nothing beyond numpy.
     """
-    from scipy import optimize
     a, b = _check_weights(a, "a"), _check_weights(b, "b")
     cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape[-2:]
+    if cost.shape[-2:] != (a.size, b.size):
+        raise LengthMismatch(f"cost of shape {cost.shape} for marginals of "
+                             f"sizes {a.size} and {b.size}")
+    n, m = a.size, b.size
     _check_equal_mass(a, b)
     if n > OT_EXACT_CAP or m > OT_EXACT_CAP:
         raise CapExceeded(f"sizes ({n},{m}) exceed cap {OT_EXACT_CAP}")
-    flat = cost.reshape(-1, n * m)
-    per_lp = max(1, OT_STACK_VARS // (n * m))
-    b_eq = np.concatenate([a, b])[:-1]
-    x = []
-    for s in range(0, len(flat), per_lp):
-        c = flat[s:s + per_lp]
-        bounds = np.tile(b_eq, len(c))
-        res = optimize.milp(c.ravel(), constraints=optimize.LinearConstraint(
-            _transport_constraints(n, m, len(c)), bounds, bounds))
-        if not res.success:
-            raise MassMismatch(f"LP failed: {res.message}")
-        x.append(res.x)
-    pi = np.maximum(np.concatenate(x).reshape(cost.shape), 0.0)
+    _check_kernel_entries(cost)
+    pi = np.empty_like(cost)
+    for s in np.ndindex(cost.shape[:-2]):
+        pi[s] = _transport_simplex(a, b, cost[s])
+    pi = np.maximum(pi, 0.0)
     value = (pi * cost).sum(axis=(-2, -1))
     return pi, float(value) if cost.ndim == 2 else value
 

@@ -38,16 +38,19 @@ def _check_weights(w, name="weights"):
         raise NonSquareKernel(f"{name} is empty")
     finite = np.isfinite(w)
     if not finite.all():
-        raise NonFiniteEntry(int(np.flatnonzero(~finite)[0]))
+        raise NonFiniteEntry(int(np.flatnonzero(~finite)[0]), name)
     if (w < 0).any():
-        raise NegativeWeight(int(np.flatnonzero(w < 0)[0]))
+        raise NegativeWeight(int(np.flatnonzero(w < 0)[0]), name)
     return w
 
 
 def _check_kernel_entries(k):
+    """NonFiniteEntry at the first non-finite entry: an int index for a
+    vector, a tuple for an array of more axes."""
     finite = np.isfinite(k)
     if not finite.all():  # argwhere only on failure: it is 10x slower than all()
-        raise NonFiniteEntry(tuple(int(v) for v in np.argwhere(~finite)[0]))
+        index = tuple(int(v) for v in np.argwhere(~finite)[0])
+        raise NonFiniteEntry(index[0] if len(index) == 1 else index)
 
 
 def _check_kernel(k, shape, expected):

@@ -9,12 +9,17 @@ class ConicotError(Exception):
     code = "error"
 
 
+def _where(name, index):
+    """Where an entry sits: "at index 1", or "in b at index 1" for a named input."""
+    return f"in {name} at index {index}" if name else f"at index {index}"
+
+
 class NegativeWeight(ConicotError):
     code = "negative_weight"
 
-    def __init__(self, index):
+    def __init__(self, index, name=None):
         self.index = index
-        super().__init__(f"negative weight at index {index}")
+        super().__init__(f"negative weight {_where(name, index)}")
 
 
 class NonSquareKernel(ConicotError):
@@ -24,9 +29,9 @@ class NonSquareKernel(ConicotError):
 class NonFiniteEntry(ConicotError):
     code = "non_finite_entry"
 
-    def __init__(self, index):
+    def __init__(self, index, name=None):
         self.index = index
-        super().__init__(f"non-finite entry at index {index}")
+        super().__init__(f"non-finite entry {_where(name, index)}")
 
 
 class NegativeScale(ConicotError):

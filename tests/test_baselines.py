@@ -14,9 +14,9 @@ from conicot import (
     ot_exact,
     validate_network,
 )
-from conicot.baselines import OT_STACK_VARS, _gw_linear_term, _gw_objective, _round_to_polytope
-from conicot.errors import (CapExceeded, MassMismatch, NegativeArgument, NegativeWeight,
-                            NonFiniteEntry)
+from conicot.baselines import _gw_linear_term, _gw_objective, _round_to_polytope
+from conicot.errors import (CapExceeded, LengthMismatch, MassMismatch, NegativeArgument,
+                            NegativeWeight, NonFiniteEntry)
 from tests.conftest import random_hypernetwork, random_network
 
 
@@ -66,25 +66,27 @@ def test_ot_exact_errors():
         ot_exact(np.ones(600) / 600, np.ones(600) / 600, np.zeros((600, 600)))
 
 
-@pytest.mark.parametrize("shape", [(2, 1), (3, 7), (6, 4)])
-def test_ot_exact_returns_a_feasible_optimal_vertex(shape):
-    # the Frank-Wolfe step of gw2_solve relies on a vertex of the transport
-    # polytope: a basic solution has at most n + m - 1 positive entries
-    n, m = shape
-    for trial in range(10):
-        r = np.random.default_rng([n, m, trial])
-        a = r.uniform(0.5, 1.5, size=n)
-        b = r.uniform(0.5, 1.5, size=m)
-        b *= a.sum() / b.sum()
-        cost = r.uniform(size=shape)
-        coupling, value = ot_exact(a, b, cost)
-        assert _feasible(coupling, a, b)
-        assert np.count_nonzero(coupling > 0) <= n + m - 1
-        # every row and column sum, built apart from _transport_constraints
-        A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
-        reference = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
-                                           bounds=(0, None), method="highs")
-        assert value == pytest.approx(reference.fun, abs=1e-10)
+def _linprog_value(a, b, cost):
+    """The optimal value of the transport LP by scipy's linprog, with every
+    row and column sum but the last column's, so that totals apart by
+    rounding still make a feasible LP."""
+    n, m = cost.shape
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    reference = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq[:-1],
+                                       b_eq=np.concatenate([a, b])[:-1],
+                                       bounds=(0, None), method="highs")
+    assert reference.success, reference.message
+    return reference.fun
+
+
+def _assert_optimal_vertex(a, b, cost):
+    """ot_exact's coupling is feasible, has at most n + m - 1 positive
+    entries, and its value is the linprog optimum to 1e-10."""
+    coupling, value = ot_exact(a, b, cost)
+    assert _feasible(coupling, a, b)
+    assert np.count_nonzero(coupling > 0) <= len(a) + len(b) - 1
+    assert value == pytest.approx(_linprog_value(a, b, cost), abs=1e-10)
+    return coupling
 
 
 def _random_transport(r, n, m):
@@ -93,24 +95,108 @@ def _random_transport(r, n, m):
     return a, b * a.sum() / b.sum()
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (3, 7), (6, 4)])
+def test_ot_exact_returns_a_feasible_optimal_vertex(shape):
+    # the Frank-Wolfe step of gw2_solve relies on a vertex of the transport
+    # polytope: a basic solution has at most n + m - 1 positive entries
+    n, m = shape
+    for trial in range(10):
+        r = np.random.default_rng([n, m, trial])
+        a, b = _random_transport(r, n, m)
+        _assert_optimal_vertex(a, b, r.uniform(size=shape))
+
+
+@pytest.mark.parametrize("bland_run", [1, 0])
+def test_ot_exact_degenerate_ties(bland_run, monkeypatch):
+    # uniform marginals make the north-west start and many pivots degenerate,
+    # and integer costs full of ties leave several optimal vertices. At 0
+    # every pivot follows Bland's rule, the rule that rules out cycling
+    monkeypatch.setattr(conicot.baselines, "_BLAND_RUN", bland_run)
+    for n, m in [(2, 2), (5, 5), (13, 13), (27, 27), (40, 40), (7, 19), (40, 23)]:
+        r = np.random.default_rng([n, m])
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        for high in (2, 5):
+            _assert_optimal_vertex(a, b, r.integers(0, high, size=(n, m)).astype(float))
+
+
+def test_ot_exact_one_row_or_one_column():
+    # a single row or column has one feasible coupling, the other marginal
+    # (its last entry takes the rounding of the total)
+    r = np.random.default_rng(7)
+    for m in (1, 2, 9):
+        b = r.uniform(0.5, 1.5, size=m)
+        cost = r.uniform(size=(1, m))
+        coupling = _assert_optimal_vertex(np.array([b.sum()]), b, cost)
+        assert np.abs(coupling - b[None, :]).max() <= 1e-14
+        coupling = _assert_optimal_vertex(b, np.array([b.sum()]), cost.T)
+        assert np.abs(coupling - b[:, None]).max() <= 1e-14
+
+
+def test_ot_exact_zero_weight_rows_and_columns():
+    # a zero-weight row or column carries no flow, whatever its costs, but
+    # the rounding of the totals that the last cell takes
+    for trial in range(10):
+        r = np.random.default_rng([11, trial])
+        n, m = r.integers(3, 12, size=2)
+        a, b = _random_transport(r, n, m)
+        a[r.choice(n, size=n // 3, replace=False)] = 0.0
+        b[r.choice(m, size=m // 3, replace=False)] = 0.0
+        b *= a.sum() / b.sum()
+        coupling = _assert_optimal_vertex(a, b, r.uniform(size=(n, m)))
+        assert coupling[a == 0].max(initial=0.0) <= 1e-14
+        assert coupling[:, b == 0].max(initial=0.0) <= 1e-14
+
+
+def test_ot_exact_totals_apart_by_rounding():
+    # totals 1e-10 apart (relative) pass the mass check; the gap ends up in
+    # the north-west start's last cell
+    for trial in range(10):
+        r = np.random.default_rng([13, trial])
+        n, m = r.integers(2, 12, size=2)
+        a, b = _random_transport(r, n, m)
+        a /= a.sum()
+        b *= (1.0 + (-1) ** trial * 1e-10) / b.sum()
+        _assert_optimal_vertex(a, b, r.uniform(size=(n, m)))
+
+
+def test_ot_exact_at_200_points():
+    # many pricing blocks and long pivot cycles
+    r = np.random.default_rng(200)
+    a, b = _random_transport(r, 200, 200)
+    _assert_optimal_vertex(a, b, r.uniform(size=(200, 200)))
+
+
+def test_ot_exact_rejects_a_non_finite_cost():
+    # a non-finite cost is named at its index, also within a stack
+    cost = np.zeros((3, 2, 3))
+    cost[1, 0, 2] = np.inf
+    a, b = np.full(2, 0.5), np.full(3, 1.0 / 3)
+    with pytest.raises(NonFiniteEntry) as raised:
+        ot_exact(a, b, cost)
+    assert raised.value.index == (1, 0, 2)
+    cost[1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteEntry) as raised:
+        ot_exact(a, b, cost[1])
+    assert raised.value.index == (0, 2)
+
+
+def test_ot_exact_rejects_a_cost_that_does_not_match_the_marginals():
+    a = np.full(2, 0.5)
+    for cost in (np.zeros((2, 3)), np.zeros((4, 3, 2)), np.zeros(2)):
+        with pytest.raises(LengthMismatch):
+            ot_exact(a, a, cost)
+
+
 @pytest.mark.parametrize("shape, height", [((6, 5), 1), ((3, 7), 4), ((6, 4), 9),
-                                           ((6, 5), OT_STACK_VARS // 30 + 1)])
-def test_ot_exact_stack_equals_slice_calls(shape, height, monkeypatch):
-    # random costs and marginals: each LP has one optimal vertex. The last
-    # stack is past the variable cap, so it takes two LPs.
+                                           ((6, 5), 137)])
+def test_ot_exact_stack_equals_slice_calls(shape, height):
+    # random costs and marginals: each problem has one optimal vertex, and
+    # each slice of a stack is solved as ot_exact solves it alone
     n, m = shape
     r = np.random.default_rng([n, m, height])
     a, b = _random_transport(r, n, m)
     costs = r.uniform(size=(height, n, m))
-    lps = [0]
-    milp = scipy.optimize.milp
-
-    def counting(*args, **kw):
-        lps[0] += 1
-        return milp(*args, **kw)
-    monkeypatch.setattr(scipy.optimize, "milp", counting)
     coupling, values = ot_exact(a, b, costs)
-    assert lps[0] == -(-height // (OT_STACK_VARS // (n * m)))
     assert coupling.shape == costs.shape and values.shape == (height,)
     assert _feasible(coupling, a, b)
     for cost, pi, value in zip(costs, coupling, values):
@@ -124,13 +210,15 @@ def test_ot_exact_stack_equals_slice_calls(shape, height, monkeypatch):
     ([np.nan, 1.0], NonFiniteEntry, 0), ([0.5, np.inf], NonFiniteEntry, 1),
     ([-0.5, 1.5], NegativeWeight, 0)])
 def test_ot_exact_checks_its_marginals(marginal, error, index):
-    # either marginal is checked before the mass check and the LP, which
-    # would report a NaN or a negative entry as a mass mismatch
+    # either marginal is checked before the mass check and the simplex,
+    # which would report a NaN or a negative entry as a mass mismatch; the
+    # error names the marginal
     cost = [[0.0, 1.0], [1.0, 0.0]]
-    for a, b in ((marginal, [0.5, 0.5]), ([0.5, 0.5], marginal)):
+    for name, a, b in (("a", marginal, [0.5, 0.5]), ("b", [0.5, 0.5], marginal)):
         with pytest.raises(error) as raised:
             ot_exact(a, b, cost)
         assert raised.value.index == index
+        assert str(raised.value).endswith(f" in {name} at index {index}")
 
 
 def _gw2_per_restart(nx, ny, config):
@@ -175,14 +263,14 @@ def _gw2_per_restart(nx, ny, config):
 
 
 @pytest.mark.parametrize("restarts", [1, 4, 6])
-@pytest.mark.parametrize("n, m, cap", [(5, 6, OT_STACK_VARS), (12, 10, OT_STACK_VARS),
-                                       (16, 20, OT_STACK_VARS), (5, 6, 64), (9, 8, 64)])
-def test_gw2_lockstep_equals_per_restart_loop(n, m, cap, restarts, monkeypatch):
-    # at the default cap every stack here is one LP; at cap 64 a 5 x 6
-    # problem stacks two restarts per LP and a 9 x 8 one none. At max_iters
-    # 0 and 1 every restart stops at the iteration cap, with no step or
-    # after one
-    monkeypatch.setattr(conicot.baselines, "OT_STACK_VARS", cap)
+@pytest.mark.parametrize("n, m, price_cells", [(5, 6, 4096), (12, 10, 4096), (16, 20, 4096),
+                                               (5, 6, 64), (9, 8, 64)])
+def test_gw2_lockstep_equals_per_restart_loop(n, m, price_cells, restarts, monkeypatch):
+    # at 4096 cells per pricing block every problem here is priced whole; at
+    # 64 a 9 x 8 problem is priced in blocks of 8 rows, which changes its
+    # pivots. At max_iters 0 and 1 every restart stops at the iteration cap,
+    # with no step or after one
+    monkeypatch.setattr(conicot.baselines, "_PRICE_CELLS", price_cells)
     for seed, max_iters in itertools.product(range(3), (60, 0, 1)):
         r = np.random.default_rng([n, m, seed])
         nx = random_network(r, n, unit_mass=True)

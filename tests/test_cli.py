@@ -371,8 +371,8 @@ def test_classify_rejects_a_nan_feature_or_label_rate(tmp_path, feats, rate, mes
 @pytest.mark.parametrize("label, message", [
     ("1.7", "error: validation: label 1.7 at row 1 is not a 64-bit integer"),
     ("1e20", "error: validation: label 1e+20 at row 1 is not a 64-bit integer"),
-    ("nan", "error: non_finite_entry: non-finite entry at index (1,)"),
-    ("inf", "error: non_finite_entry: non-finite entry at index (1,)")])
+    ("nan", "error: non_finite_entry: non-finite entry at index 1"),
+    ("inf", "error: non_finite_entry: non-finite entry at index 1")])
 def test_classify_rejects_a_label_that_is_not_an_integer(tmp_path, label, message, capsys,
                                                          monkeypatch):
     # a fractional label is not truncated to a class, and a NaN, inf or

@@ -76,6 +76,23 @@ def test_validate_network_rejects_nonfinite():
         validate_network([1.0, np.inf], np.zeros((2, 2)))
 
 
+def test_non_finite_entry_index_is_an_int_for_a_vector_and_a_tuple_otherwise():
+    # a vector's index reads as a weight's does; a matrix's names both axes
+    with pytest.raises(NonFiniteEntry) as exc:
+        DiscreteValueMeasure([0.0, np.nan, 1.0], np.ones(3))
+    assert exc.value.index == 1 and type(exc.value.index) is int
+    assert str(exc.value) == "non-finite entry at index 1"
+    with pytest.raises(NonFiniteEntry) as exc:
+        validate_network([1.0, np.inf], np.zeros((2, 2)))
+    assert str(exc.value) == "non-finite entry in weights at index 1"
+    k = np.zeros((2, 2))
+    k[1, 0] = np.inf
+    with pytest.raises(NonFiniteEntry) as exc:
+        validate_network([1.0, 1.0], k)
+    assert exc.value.index == (1, 0)
+    assert str(exc.value) == "non-finite entry at index (1, 0)"
+
+
 def test_negative_kernel_entries_accepted(rng):
     # Omega only sees |gap|, so a common shift of both kernels changes nothing
     nx = random_network(rng, 4, unit_mass=True)

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: `import conicot` brings numpy and conicot's
-own modules, and scipy.sparse and scipy.optimize load only on first use.
+own modules, scipy.sparse loads only with the first CSR factor, and no
+conicot code loads scipy.optimize: exact OT is conicot's own simplex.
 Neither json (read by load_json and the CLI) nor concurrent.futures (a
 multi-threaded dense build) loads with the package.
 
@@ -63,7 +64,7 @@ _LOADED = {
     "import": ["json"],
     "dense_cgw": [],
     "csr_bench": ["concurrent.futures", "json", "scipy.sparse"],
-    "ot_exact": ["concurrent.futures", "json", "scipy.optimize", "scipy.sparse"],
+    "ot_exact": [],
 }
 
 
